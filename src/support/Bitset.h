@@ -34,6 +34,18 @@
 
 namespace netupd {
 
+/// The MurmurHash3 64-bit finalizer: every output bit depends on every
+/// input bit. Hash tables that take a home slot from the low bits of a
+/// hash need this over a multiplicative hash, whose low k bits depend
+/// only on the input's low k bits.
+inline uint64_t fmix64(uint64_t K) {
+  K ^= K >> 33;
+  K *= 0xff51afd7ed558ccdULL;
+  K ^= K >> 33;
+  K *= 0xc4ceb9fe1a85ec53ULL;
+  return K ^ (K >> 33);
+}
+
 /// Dynamically-sized bitset with value semantics and word-level operations.
 ///
 /// The size is fixed at construction (or via resize); all binary operations
@@ -253,7 +265,8 @@ public:
     return false;
   }
 
-  /// Hashes the bit contents (FNV-1a over the words).
+  /// Hashes the bit contents (FNV-1a over the words, then fmix64 so the
+  /// low bits open-addressed tables index by depend on every bit).
   size_t hash() const {
     uint64_t H = 1469598103934665603ull;
     const uint64_t *W = words();
@@ -261,7 +274,7 @@ public:
       H ^= W[I];
       H *= 1099511628211ull;
     }
-    return static_cast<size_t>(H);
+    return static_cast<size_t>(fmix64(H));
   }
 
   /// Number of 64-bit words backing this set.

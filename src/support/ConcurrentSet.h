@@ -7,19 +7,22 @@
 ///
 /// \file
 /// The pruning containers behind the synthesis search
-/// (synth/OrderUpdate.cpp): a striped open-addressed hash set for the
-/// visited (V) configurations, a watch-list–indexed wrong-set (W) for
-/// counterexample constraints, and a flat sequential set for unit-local
-/// V state. All hold *monotone* state — entries are only ever added,
-/// never modified or removed during a search — which is what makes
-/// sharing them across DFS shards sound: a V claim or a W constraint
-/// mined on one shard is a fact about the problem instance, valid for
-/// every other shard the moment it becomes visible.
+/// (synth/OrderUpdate.cpp): a direct-indexed atomic bitmap and a striped
+/// open-addressed hash set for the visited (V) configurations, a
+/// watch-list–indexed wrong-set (W) for counterexample constraints, and
+/// a flat sequential set for unit-local V state. All hold *monotone*
+/// state — entries are only ever added, never modified or removed
+/// during a search — which is what makes sharing them across DFS shards
+/// sound: a V claim or a W constraint mined on one shard is a fact about
+/// the problem instance, valid for every other shard the moment it
+/// becomes visible.
 ///
-/// ConcurrentSet::insert doubles as the claim operation of the sharded
-/// search: exactly one caller receives true per value, so two shards
-/// reaching the same intermediate configuration agree on which of them
-/// explores the subtree below it (the other prunes).
+/// ClaimBitmap::claim and ConcurrentSet::insert are the claim operation
+/// of the sharded search: exactly one caller receives true per value, so
+/// two shards reaching the same intermediate configuration agree on
+/// which of them explores the subtree below it (the other prunes). The
+/// bitmap serves op universes of up to ClaimBitmap::MaxBits ops, where
+/// the whole configuration space fits in 2 MB; the set serves wider ones.
 ///
 /// WatchedWrongSet replaces a scan-the-whole-list W set. Each (Mask,
 /// Value) constraint is filed under the first set bit of Value; probing
@@ -37,20 +40,57 @@
 #include "support/ThreadAnnotations.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
 
 namespace netupd {
 
+/// A lock-free claim set over the indices [0, 2^NumBits): one bit per
+/// index in a flat array of atomic words, so a claim is a single
+/// fetch_or with no hashing, probing, locking, or growth. The sharded
+/// search indexes it by the configuration word (bit i = op i applied),
+/// which is why NumBits is capped at MaxBits: 2^24 bits is 2 MB, zeroed
+/// once per search.
+class ClaimBitmap {
+public:
+  static constexpr size_t MaxBits = 24;
+
+  /// Re-shapes for \p NumBits-bit indices, all unclaimed. Not
+  /// thread-safe; call before the search fans out.
+  void reset(size_t NumBits) {
+    assert(NumBits <= MaxBits && "configuration space too wide to index");
+    // Value-initialized: every word starts at zero.
+    Words = std::make_unique<std::atomic<uint64_t>[]>(
+        ((size_t(1) << NumBits) + 63) / 64);
+  }
+
+  /// Claims \p Index; returns true for exactly one caller per index
+  /// across all threads. The returned old bit decides the claim; acq_rel
+  /// gives it the same ordering as ConcurrentSet::insert's stripe lock.
+  bool claim(uint64_t Index) {
+    uint64_t Bit = uint64_t(1) << (Index % 64);
+    return (Words[Index / 64].fetch_or(Bit, std::memory_order_acq_rel) &
+            Bit) == 0;
+  }
+
+private:
+  std::unique_ptr<std::atomic<uint64_t>[]> Words;
+};
+
 /// A thread-safe grow-only hash set: 64 lock stripes, each guarding an
 /// open-addressed slot table. One hash computation and one mutex
 /// acquisition per operation; linear probing touches a handful of
 /// contiguous slots instead of chasing unordered_set buckets, and
-/// insert-only semantics mean the table never tombstones.
+/// insert-only semantics mean the table never tombstones. The hash is
+/// run through fmix64 once, the stripe taken from its high bits and the
+/// home slot from its low bits, so the two choices are independent and
+/// even an identity std::hash spreads over stripes and slots.
 ///
 /// Lock acquisitions on the probe/claim path feed the
 /// synth.vset_lock_ns wait histogram when the obs detail tier is on —
@@ -60,7 +100,7 @@ public:
   /// Inserts \p V; returns true iff it was not already present. The
   /// true-return is unique per value across all threads (the claim).
   bool insert(const T &V) {
-    size_t H = Hash()(V);
+    size_t H = fmix64(Hash()(V));
     Stripe &S = stripeFor(H);
     obs::timedLock(S.M, lockWait());
     MutexLock Lock(S.M, std::adopt_lock);
@@ -71,7 +111,7 @@ public:
   /// (another thread can insert concurrently); callers treat contains()
   /// as a cheap pre-filter and insert() as the authoritative claim.
   bool contains(const T &V) const {
-    size_t H = Hash()(V);
+    size_t H = fmix64(Hash()(V));
     const Stripe &S = stripeFor(H);
     obs::timedLock(S.M, lockWait());
     MutexLock Lock(S.M, std::adopt_lock);
@@ -96,7 +136,8 @@ public:
   }
 
 private:
-  static constexpr unsigned NumStripes = 64;
+  static constexpr unsigned StripeBits = 6;
+  static constexpr unsigned NumStripes = 1u << StripeBits;
 
   struct Slot {
     size_t H = 0;
@@ -157,8 +198,12 @@ private:
     }
   };
 
-  Stripe &stripeFor(size_t H) { return Stripes[H % NumStripes]; }
-  const Stripe &stripeFor(size_t H) const { return Stripes[H % NumStripes]; }
+  // The top bits: the slot index uses the bottom ones.
+  static size_t stripeIndex(size_t H) {
+    return static_cast<uint64_t>(H) >> (64 - StripeBits);
+  }
+  Stripe &stripeFor(size_t H) { return Stripes[stripeIndex(H)]; }
+  const Stripe &stripeFor(size_t H) const { return Stripes[stripeIndex(H)]; }
 
   static obs::Histogram &lockWait() {
     static obs::Histogram &H =
@@ -420,51 +465,6 @@ private:
 
   std::vector<Slot> Slots;
   size_t Count = 0;
-};
-
-/// An append-only list optimized for concurrent whole-list scans and
-/// comparatively rare appends. The synthesis search's W set moved to
-/// WatchedWrongSet; this stays for callers whose predicate is not a
-/// mask/value match (and for its contention test coverage).
-template <typename T> class SharedAppendList {
-public:
-  void append(T V) {
-    obs::timedLock(M, lockWait());
-    SharedMutexLock Lock(M, std::adopt_lock);
-    Items.push_back(std::move(V));
-  }
-
-  /// True if \p Pred holds for any element; scans under a shared lock.
-  template <typename Fn> bool any(Fn &&Pred) const {
-    obs::timedLockShared(M, lockWait());
-    SharedReaderLock Lock(M, std::adopt_lock);
-    for (const T &V : Items)
-      if (Pred(V))
-        return true;
-    return false;
-  }
-
-  size_t size() const {
-    SharedReaderLock Lock(M);
-    return Items.size();
-  }
-
-  /// A copy of the current contents; safe mid-flight (sees a monotone
-  /// prefix of the appends).
-  std::vector<T> snapshot() const {
-    SharedReaderLock Lock(M);
-    return Items;
-  }
-
-private:
-  static obs::Histogram &lockWait() {
-    static obs::Histogram &H =
-        obs::MetricsRegistry::instance().histogram("synth.wset_lock_ns");
-    return H;
-  }
-
-  mutable SharedMutex M;
-  std::vector<T> Items NETUPD_GUARDED_BY(M);
 };
 
 } // namespace netupd

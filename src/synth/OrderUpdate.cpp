@@ -329,11 +329,17 @@ struct SearchContext {
   /// !Deterministic.
   BudgetLedger Ledger;
 
-  // Pruning state. V keeps one representation per mode (the striped
-  // claim table costs locks a single-shard run must not pay); W is one
+  // Pruning state. V keeps one representation per mode (a shared claim
+  // costs atomics a single-shard run must not pay); W is one
   // watch-indexed container for both modes — its probes and CAS appends
   // are lock-free, so they cost a single-shard run nothing either.
   FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
+  /// The sharded V claim. ParClaims, one fetch_or per claim, whenever
+  /// the op universe fits ClaimBitmap::MaxBits (DirectClaim); the
+  /// striped ParVisited for wider universes. Both chosen before any
+  /// searcher runs and constant afterwards.
+  bool DirectClaim = false;
+  ClaimBitmap ParClaims;
   ConcurrentSet<Bitset, BitsetHash> ParVisited;
   /// W of Fig. 4: (mask, value) refutations, filed under the first set
   /// bit of value so a probe touches only entries that could match
@@ -342,7 +348,9 @@ struct SearchContext {
 
   /// The claim: true for exactly one caller per configuration.
   bool visitedClaim(const Bitset &B) {
-    return Sharded ? ParVisited.insert(B) : SeqVisited.insert(B);
+    if (!Sharded)
+      return SeqVisited.insert(B);
+    return DirectClaim ? ParClaims.claim(B.word(0)) : ParVisited.insert(B);
   }
   bool matchesWrong(const Bitset &Bits) const { return Wrong.matches(Bits); }
   void addWrong(Bitset Mask, Bitset Value) {
@@ -798,13 +806,12 @@ private:
         return false;
       }
     } else {
-      // The claim comes first: one striped-lock acquisition replaces
-      // the old contains-probe-then-insert pair (two acquisitions on
-      // the one path every explored edge takes). Losing the claim is
-      // the visited prune; winning it commits this shard to settling
-      // the configuration — by the W/seed refutations below (the entry
-      // proves the check would fail, so "settled" needs no descent) or
-      // by exploring it.
+      // The claim comes first: one claim replaces a
+      // contains-probe-then-insert pair on the one path every explored
+      // edge takes. Losing the claim is the visited prune; winning it
+      // commits this shard to settling the configuration — by the
+      // W/seed refutations below (the entry proves the check would
+      // fail, so "settled" needs no descent) or by exploring it.
       if (!Ctx.visitedClaim(Next)) {
         ++Stats.VisitedPrunes;
         return false;
@@ -1439,6 +1446,12 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (!Opts.ShardCheckerFactory)
     Shards = 1; // No way to build sibling checkers; degrade gracefully.
   Ctx.Sharded = Shards > 1;
+  // Budget mode claims in unit-local tables, so only a sharded
+  // unlimited search needs the shared claim.
+  Ctx.DirectClaim = Ctx.Sharded && !Ctx.Deterministic &&
+                    Ctx.Ops.size() <= ClaimBitmap::MaxBits;
+  if (Ctx.DirectClaim)
+    Ctx.ParClaims.reset(Ctx.Ops.size());
 
   // Work-stealing engages only where it is sound *and* useful: sharded
   // (someone to steal from) and non-deterministic (budget mode's

@@ -18,6 +18,7 @@
 #include "engine/Engine.h"
 #include "mc/BackendFactory.h"
 #include "mc/LabelingChecker.h"
+#include "support/ConcurrentSet.h"
 #include "synth/OrderUpdate.h"
 #include "topo/Generators.h"
 
@@ -144,6 +145,26 @@ TEST(ShardedSearchTest, InfeasibleVerdictsSurviveSharding) {
       runBothWays(S, "incremental", 3, /*RuleGranularity=*/true);
   EXPECT_EQ(Seq, SynthStatus::Success);
   EXPECT_EQ(Seq, Sharded);
+}
+
+// A universe wider than ClaimBitmap::MaxBits ops cannot be indexed
+// directly, so its sharded V claim falls back to the striped
+// ConcurrentSet. That path must still agree with the sequential search.
+TEST(ShardedSearchTest, WideUniverseSetClaimMatchesSequential) {
+  DiamondOptions DO;
+  DO.LongPaths = true;
+  std::optional<Scenario> S;
+  for (uint64_t Seed = 1; Seed != 64 && !S; ++Seed) {
+    Rng R(Seed);
+    Topology Base = buildSmallWorld(120, 4, 0.1, R);
+    S = makeDiamondScenario(Base, R, PropertyKind::Reachability, DO);
+    if (S && numUpdatingSwitches(*S) <= ClaimBitmap::MaxBits)
+      S.reset();
+  }
+  ASSERT_TRUE(S.has_value()) << "no diamond wider than the claim bitmap";
+  auto [Seq, Sharded] = runBothWays(*S, "incremental", 4);
+  EXPECT_EQ(Seq, SynthStatus::Success);
+  EXPECT_EQ(Seq, Sharded) << "the set-claim fallback changed the verdict";
 }
 
 // Shards > 1 without a ShardCheckerFactory must degrade to the classic

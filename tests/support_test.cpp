@@ -91,6 +91,21 @@ TEST(BitsetTest, EqualityHashOrder) {
   EXPECT_EQ(A.hash(), B.hash());
 }
 
+// Open-addressed tables take the home slot from a hash's low bits, so
+// those must depend on high configuration bits too: 4096 configurations
+// that differ only in bits 24-35 must spread over a 16-bit slot index.
+TEST(BitsetTest, HashLowBitsSeeHighBits) {
+  std::set<size_t> Homes;
+  for (uint64_t V = 0; V != 4096; ++V) {
+    Bitset B(40);
+    for (unsigned I = 0; I != 12; ++I)
+      if (V >> I & 1)
+        B.set(24 + I);
+    Homes.insert(B.hash() & 0xFFFF);
+  }
+  EXPECT_GE(Homes.size(), 3800u);
+}
+
 TEST(BitsetTest, ResizeZeroFills) {
   Bitset A(3);
   A.set(2);
@@ -281,28 +296,34 @@ TEST(ConcurrentSetTest, ClaimsAreUniqueAcrossThreads) {
   EXPECT_EQ(Set.size(), static_cast<size_t>(NumValues));
 }
 
-TEST(SharedAppendListTest, AppendScanUnderContention) {
-  SharedAppendList<int> List;
-  EXPECT_EQ(List.size(), 0u);
-  EXPECT_FALSE(List.any([](int) { return true; }));
-
-  constexpr unsigned NumThreads = 4;
-  constexpr int PerThread = 250;
+// The direct-indexed claim: 8 threads race over every index of a
+// 2^12-bit map, and each index is claimed exactly once.
+TEST(ClaimBitmapTest, ClaimsAreUniqueAcrossThreads) {
+  constexpr size_t NumBits = 12;
+  constexpr uint64_t NumValues = uint64_t(1) << NumBits;
+  constexpr unsigned NumThreads = 8;
+  ClaimBitmap Map;
+  Map.reset(NumBits);
+  std::vector<std::atomic<int>> PerIndex(NumValues);
   std::vector<std::thread> Threads;
   for (unsigned T = 0; T != NumThreads; ++T)
     Threads.emplace_back([&, T] {
-      for (int V = 0; V != PerThread; ++V) {
-        List.append(static_cast<int>(T) * PerThread + V);
-        // Interleave scans with appends, as the search's matchesWrong
-        // does against learnCex.
-        List.any([](int X) { return X < 0; });
+      // Odd threads walk downward so the races hit both ends.
+      for (uint64_t I = 0; I != NumValues; ++I) {
+        uint64_t V = T % 2 ? NumValues - 1 - I : I;
+        if (Map.claim(V))
+          PerIndex[V].fetch_add(1);
       }
     });
   for (std::thread &T : Threads)
     T.join();
-  EXPECT_EQ(List.size(), NumThreads * PerThread);
-  EXPECT_TRUE(List.any([](int X) { return X == 999; }));
-  EXPECT_FALSE(List.any([](int X) { return X == 1000; }));
+  for (uint64_t V = 0; V != NumValues; ++V)
+    ASSERT_EQ(PerIndex[V].load(), 1) << "index " << V;
+
+  // reset() forgets every claim.
+  Map.reset(NumBits);
+  EXPECT_TRUE(Map.claim(NumValues - 1));
+  EXPECT_FALSE(Map.claim(NumValues - 1));
 }
 
 // The wrong-set's watch-list indexing: a constraint is filed under the
