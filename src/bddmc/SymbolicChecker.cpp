@@ -105,9 +105,9 @@ NodeRef SymbolicModel::buildConsistency() {
     Bitset Atoms = Cl.atomBits(K.stateInfo(S));
     NodeRef Local = True;
     for (unsigned I = 0; I != Cl.size(); ++I) {
-      Formula F = Cl.item(I);
+      const Closure::Node &N = Cl.node(I);
       NodeRef BitI = M.var(Layout.m(I));
-      switch (F->kind()) {
+      switch (N.Kind) {
       case FKind::True:
       case FKind::False:
       case FKind::Atom:
@@ -115,18 +115,12 @@ NodeRef SymbolicModel::buildConsistency() {
         Local = M.andOp(Local, Atoms.test(I) ? BitI : M.notOp(BitI));
         break;
       case FKind::And:
-        Local = M.andOp(
-            Local, M.iffOp(BitI, M.andOp(M.var(Layout.m(Cl.indexOf(
-                                             F->lhs()))),
-                                         M.var(Layout.m(Cl.indexOf(
-                                             F->rhs()))))));
+        Local = M.andOp(Local, M.iffOp(BitI, M.andOp(M.var(Layout.m(N.Lhs)),
+                                                     M.var(Layout.m(N.Rhs)))));
         break;
       case FKind::Or:
-        Local = M.andOp(
-            Local, M.iffOp(BitI, M.orOp(M.var(Layout.m(Cl.indexOf(
-                                            F->lhs()))),
-                                        M.var(Layout.m(Cl.indexOf(
-                                            F->rhs()))))));
+        Local = M.andOp(Local, M.iffOp(BitI, M.orOp(M.var(Layout.m(N.Lhs)),
+                                                    M.var(Layout.m(N.Rhs)))));
         break;
       default:
         break; // Temporal bits are constrained by Follows.
@@ -140,23 +134,22 @@ NodeRef SymbolicModel::buildConsistency() {
 NodeRef SymbolicModel::buildFollows() {
   NodeRef F = True;
   for (unsigned I = 0; I != Cl.size(); ++I) {
-    Formula Item = Cl.item(I);
+    const Closure::Node &N = Cl.node(I);
     NodeRef BitI = M.var(Layout.m(I));
-    switch (Item->kind()) {
+    switch (N.Kind) {
     case FKind::Next:
-      F = M.andOp(F, M.iffOp(BitI, M.var(Layout.mp(
-                                       Cl.indexOf(Item->lhs())))));
+      F = M.andOp(F, M.iffOp(BitI, M.var(Layout.mp(N.Lhs))));
       break;
     case FKind::Until: {
-      NodeRef A = M.var(Layout.m(Cl.indexOf(Item->lhs())));
-      NodeRef B = M.var(Layout.m(Cl.indexOf(Item->rhs())));
+      NodeRef A = M.var(Layout.m(N.Lhs));
+      NodeRef B = M.var(Layout.m(N.Rhs));
       NodeRef Nxt = M.var(Layout.mp(I));
       F = M.andOp(F, M.iffOp(BitI, M.orOp(B, M.andOp(A, Nxt))));
       break;
     }
     case FKind::Release: {
-      NodeRef A = M.var(Layout.m(Cl.indexOf(Item->lhs())));
-      NodeRef B = M.var(Layout.m(Cl.indexOf(Item->rhs())));
+      NodeRef A = M.var(Layout.m(N.Lhs));
+      NodeRef B = M.var(Layout.m(N.Rhs));
       NodeRef Nxt = M.var(Layout.mp(I));
       F = M.andOp(F, M.iffOp(BitI, M.andOp(B, M.orOp(A, Nxt))));
       break;

@@ -40,6 +40,10 @@ Closure::Closure(Formula Root) {
 
   for (unsigned I = 0, E = size(); I != E; ++I)
     Index[Items[I]] = I;
+  Nodes.reserve(Items.size());
+  for (Formula F : Items)
+    Nodes.push_back(Node{F->kind(), F->lhs() ? indexOf(F->lhs()) : 0,
+                         F->rhs() ? indexOf(F->rhs()) : 0});
   RootIdx = indexOf(Root);
 }
 
@@ -76,20 +80,20 @@ Bitset Closure::sinkLabel(const Bitset &AtomBits) const {
   // Children precede parents, so a single forward pass settles every bit.
   // On the constant trace of a sink: X a = a, a U b = b, a R b = b.
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::And:
-      M.assign(I, M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs())));
+      M.assign(I, M.test(N.Lhs) && M.test(N.Rhs));
       break;
     case FKind::Or:
-      M.assign(I, M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs())));
+      M.assign(I, M.test(N.Lhs) || M.test(N.Rhs));
       break;
     case FKind::Next:
-      M.assign(I, M.test(indexOf(F->lhs())));
+      M.assign(I, M.test(N.Lhs));
       break;
     case FKind::Until:
     case FKind::Release:
-      M.assign(I, M.test(indexOf(F->rhs())));
+      M.assign(I, M.test(N.Rhs));
       break;
     default:
       break; // Constants and atoms came from AtomBits.
@@ -103,26 +107,24 @@ Bitset Closure::extend(const Bitset &SuccM, const Bitset &AtomBits) const {
          "sets from a different closure");
   Bitset M = AtomBits;
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::And:
-      M.assign(I, M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs())));
+      M.assign(I, M.test(N.Lhs) && M.test(N.Rhs));
       break;
     case FKind::Or:
-      M.assign(I, M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs())));
+      M.assign(I, M.test(N.Lhs) || M.test(N.Rhs));
       break;
     case FKind::Next:
-      M.assign(I, SuccM.test(indexOf(F->lhs())));
+      M.assign(I, SuccM.test(N.Lhs));
       break;
     case FKind::Until:
       // a U b = b | (a & X(a U b)).
-      M.assign(I, M.test(indexOf(F->rhs())) ||
-                      (M.test(indexOf(F->lhs())) && SuccM.test(I)));
+      M.assign(I, M.test(N.Rhs) || (M.test(N.Lhs) && SuccM.test(I)));
       break;
     case FKind::Release:
       // a R b = b & (a | X(a R b)).
-      M.assign(I, M.test(indexOf(F->rhs())) &&
-                      (M.test(indexOf(F->lhs())) || SuccM.test(I)));
+      M.assign(I, M.test(N.Rhs) && (M.test(N.Lhs) || SuccM.test(I)));
       break;
     default:
       break;
@@ -135,19 +137,17 @@ bool Closure::follows(const Bitset &M1, const Bitset &M2) const {
   assert(M1.size() == size() && M2.size() == size() &&
          "sets from a different closure");
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
+    const Node &N = Nodes[I];
     bool Expected;
-    switch (F->kind()) {
+    switch (N.Kind) {
     case FKind::Next:
-      Expected = M2.test(indexOf(F->lhs()));
+      Expected = M2.test(N.Lhs);
       break;
     case FKind::Until:
-      Expected = M1.test(indexOf(F->rhs())) ||
-                 (M1.test(indexOf(F->lhs())) && M2.test(I));
+      Expected = M1.test(N.Rhs) || (M1.test(N.Lhs) && M2.test(I));
       break;
     case FKind::Release:
-      Expected = M1.test(indexOf(F->rhs())) &&
-                 (M1.test(indexOf(F->lhs())) || M2.test(I));
+      Expected = M1.test(N.Rhs) && (M1.test(N.Lhs) || M2.test(I));
       break;
     default:
       continue;
@@ -162,8 +162,8 @@ bool Closure::consistentAt(const Bitset &M, const Bitset &AtomBits) const {
   assert(M.size() == size() && AtomBits.size() == size() &&
          "sets from a different closure");
   for (unsigned I = 0, E = size(); I != E; ++I) {
-    Formula F = Items[I];
-    switch (F->kind()) {
+    const Node &N = Nodes[I];
+    switch (N.Kind) {
     case FKind::True:
       if (!M.test(I))
         return false;
@@ -178,13 +178,11 @@ bool Closure::consistentAt(const Bitset &M, const Bitset &AtomBits) const {
         return false;
       break;
     case FKind::And:
-      if (M.test(I) !=
-          (M.test(indexOf(F->lhs())) && M.test(indexOf(F->rhs()))))
+      if (M.test(I) != (M.test(N.Lhs) && M.test(N.Rhs)))
         return false;
       break;
     case FKind::Or:
-      if (M.test(I) !=
-          (M.test(indexOf(F->lhs())) || M.test(indexOf(F->rhs()))))
+      if (M.test(I) != (M.test(N.Lhs) || M.test(N.Rhs)))
         return false;
       break;
     default:

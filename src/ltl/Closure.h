@@ -47,6 +47,15 @@ namespace netupd {
 /// operations.
 class Closure {
 public:
+  /// A closure item compiled to its kind and its children's closure
+  /// indices (0 where the kind has no such child), so the set operations
+  /// read flat arrays instead of hashing formulas.
+  struct Node {
+    FKind Kind;
+    uint32_t Lhs;
+    uint32_t Rhs;
+  };
+
   explicit Closure(Formula Root);
 
   /// Number of closure items (subformulas of the root).
@@ -54,6 +63,9 @@ public:
 
   /// The I-th closure item; children always precede parents.
   Formula item(unsigned I) const { return Items[I]; }
+
+  /// The I-th closure item, compiled.
+  const Node &node(unsigned I) const { return Nodes[I]; }
 
   /// The index of the root formula.
   unsigned rootIndex() const { return RootIdx; }
@@ -85,7 +97,8 @@ public:
 
 private:
   std::vector<Formula> Items;
-  std::unordered_map<Formula, unsigned> Index;
+  std::vector<Node> Nodes;
+  std::unordered_map<Formula, unsigned> Index; // Serves indexOf only.
   unsigned RootIdx = 0;
 };
 

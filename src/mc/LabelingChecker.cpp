@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <queue>
 
 using namespace netupd;
 
@@ -29,8 +28,7 @@ CheckResult LabelingChecker::bindImpl(KripkeStructure &Structure, Formula Phi) {
   GrayStamp.assign(K->numStates(), 0);
   DoneStamp.assign(K->numStates(), 0);
   AncestorStamp.assign(K->numStates(), 0);
-  InHeapStamp.assign(K->numStates(), 0);
-  PosOf.assign(K->numStates(), 0);
+  DirtyStamp.assign(K->numStates(), 0);
   Stamp = 0;
   return fullCheck();
 }
@@ -75,7 +73,8 @@ LabelingChecker::findLoopFrom(const std::vector<StateId> &Changed) {
   // only new ones) and hence lies among those descendants; the pre-update
   // structure was DAG-like by the checker's invariant.
   ++Stamp;
-  std::vector<std::pair<StateId, size_t>> Stack;
+  std::vector<std::pair<StateId, size_t>> &Stack = ScratchDfs;
+  Stack.clear();
   for (StateId Root : Changed) {
     if (DoneStamp[Root] == Stamp)
       continue;
@@ -134,7 +133,8 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   std::vector<StateId> &Ancestors = ScratchAncestors;
   Ancestors.clear();
   {
-    std::vector<StateId> Stack(Changed.begin(), Changed.end());
+    std::vector<StateId> &Stack = ScratchStack;
+    Stack.assign(Changed.begin(), Changed.end());
     for (StateId S : Changed)
       AncestorStamp[S] = Stamp;
     while (!Stack.empty()) {
@@ -156,7 +156,8 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
   Order.clear();
   Order.reserve(Ancestors.size());
   {
-    std::vector<std::pair<StateId, size_t>> Stack;
+    std::vector<std::pair<StateId, size_t>> &Stack = ScratchDfs;
+    Stack.clear();
     for (StateId Root : Ancestors) {
       if (DoneStamp[Root] == Stamp)
         continue;
@@ -179,35 +180,22 @@ LabelingChecker::incrementalCheck(const std::vector<StateId> &Changed) {
       }
     }
   }
-  // Positions live in the stamp-validated PosOf array (DoneStamp ==
-  // Stamp marks membership in Order), not a per-query hash map.
-  for (uint32_t I = 0; I != Order.size(); ++I)
-    PosOf[Order[I]] = I;
-
-  // Relabel, children first, stopping as soon as a label is unchanged.
-  using Entry = std::pair<uint32_t, StateId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> Heap;
-  for (StateId S : Changed) {
-    if (InHeapStamp[S] == Stamp)
+  // Relabel in one forward pass over Order, children first, visiting only
+  // dirty states: the changed states, and predecessors of a state whose
+  // label changed. A predecessor always sits later in Order, so the pass
+  // sees every state it dirties; an unchanged label stops propagation.
+  for (StateId S : Changed)
+    DirtyStamp[S] = Stamp;
+  for (StateId S : Order) {
+    if (DirtyStamp[S] != Stamp)
       continue;
-    InHeapStamp[S] = Stamp;
-    Heap.emplace(PosOf[S], S);
-  }
-
-  while (!Heap.empty()) {
-    StateId S = Heap.top().second;
-    Heap.pop();
     LabelSet New = computeLabel(S);
     if (New == Labels[S])
       continue; // Unchanged: ancestors keep their labels.
     Frame.OldLabels.emplace_back(S, std::move(Labels[S]));
     Labels[S] = std::move(New);
-    for (StateId P : K->preds(S)) {
-      if (P == S || InHeapStamp[P] == Stamp)
-        continue;
-      InHeapStamp[P] = Stamp;
-      Heap.emplace(PosOf[P], P);
-    }
+    for (StateId P : K->preds(S))
+      DirtyStamp[P] = Stamp;
   }
 
   return checkInitStates();

@@ -99,15 +99,12 @@ private:
 
   /// Stamp-based scratch marks, reused across queries so the incremental
   /// path never touches memory proportional to the whole structure.
-  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, InHeapStamp;
+  std::vector<uint32_t> GrayStamp, DoneStamp, AncestorStamp, DirtyStamp;
   uint32_t Stamp = 0;
 
-  /// Topological position of each state within the current relabel
-  /// region; valid where DoneStamp == Stamp. Replaces a per-query
-  /// unordered_map that dominated the prune-path allocation profile.
-  std::vector<uint32_t> PosOf;
   /// Scratch buffers reused across incremental queries.
-  std::vector<StateId> ScratchAncestors, ScratchOrder;
+  std::vector<StateId> ScratchAncestors, ScratchOrder, ScratchStack;
+  std::vector<std::pair<StateId, size_t>> ScratchDfs;
 };
 
 } // namespace netupd

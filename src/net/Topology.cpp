@@ -32,13 +32,21 @@ HostId Topology::addHost(std::string Name) {
 
 PortId Topology::addPort(SwitchId S) {
   assert(S < SwitchPortIds.size() && "bad switch id");
-  PortId P = static_cast<PortId>(PortOwner.size());
-  PortOwner.push_back(S);
+  PortId P = static_cast<PortId>(Ports.size());
+  Ports.push_back(PortRecord{S, 0});
   SwitchPortIds[S].push_back(P);
   return P;
 }
 
 void Topology::addLink(Location From, Location To) {
+  assert((From.isHost() || From.Port < Ports.size() ||
+          From.Port == InvalidPort) &&
+         "link leaves an unallocated port");
+  if (!From.isHost() && From.Port < Ports.size()) {
+    uint32_t &First = Ports[From.Port].FirstLinkPlus1;
+    if (First == 0)
+      First = static_cast<uint32_t>(Links.size()) + 1;
+  }
   Links.push_back(Link{From, To});
 }
 
@@ -58,18 +66,25 @@ PortId Topology::attachHost(HostId H, SwitchId S) {
 }
 
 const Location *Topology::linkFrom(SwitchId S, PortId P) const {
-  for (const Link &L : Links)
+  // Links before a port's first link never leave that port, so the scan
+  // (kept for InvalidPort and for links leaving a port from a switch that
+  // does not own it) can start there.
+  size_t Begin = 0;
+  if (P < Ports.size()) {
+    uint32_t First = Ports[P].FirstLinkPlus1;
+    if (First == 0)
+      return nullptr;
+    const Link &L = Links[First - 1];
+    if (L.From.Switch == S)
+      return &L.To;
+    Begin = First;
+  }
+  for (size_t I = Begin, E = Links.size(); I != E; ++I) {
+    const Link &L = Links[I];
     if (!L.From.isHost() && L.From.Switch == S && L.From.Port == P)
       return &L.To;
+  }
   return nullptr;
-}
-
-std::vector<Location> Topology::linksInto(SwitchId S, PortId P) const {
-  std::vector<Location> Sources;
-  for (const Link &L : Links)
-    if (!L.To.isHost() && L.To.Switch == S && L.To.Port == P)
-      Sources.push_back(L.From);
-  return Sources;
 }
 
 std::vector<Location> Topology::ingressLocations() const {

@@ -84,7 +84,9 @@ public:
   /// Allocates a fresh port on switch \p S; returns its global id.
   PortId addPort(SwitchId S);
 
-  /// Adds a directed link.
+  /// Adds a directed link. A switch-side \p From must name an allocated
+  /// port (or InvalidPort), so the port's link record sees every link
+  /// leaving it.
   void addLink(Location From, Location To);
 
   /// Adds a pair of directed links between two switches, allocating one
@@ -99,7 +101,7 @@ public:
     return static_cast<unsigned>(SwitchNames.size());
   }
   unsigned numHosts() const { return static_cast<unsigned>(HostNames.size()); }
-  unsigned numPorts() const { return static_cast<unsigned>(PortOwner.size()); }
+  unsigned numPorts() const { return static_cast<unsigned>(Ports.size()); }
   unsigned numLinks() const { return static_cast<unsigned>(Links.size()); }
 
   const std::string &switchName(SwitchId S) const {
@@ -113,8 +115,8 @@ public:
 
   /// Returns the switch owning global port \p P.
   SwitchId portOwner(PortId P) const {
-    assert(P < PortOwner.size() && "bad port id");
-    return PortOwner[P];
+    assert(P < Ports.size() && "bad port id");
+    return Ports[P].Owner;
   }
 
   /// Returns all ports of switch \p S.
@@ -125,13 +127,11 @@ public:
 
   const std::vector<Link> &links() const { return Links; }
 
-  /// Returns the destination of the unique link leaving (switch, port), or
-  /// nullptr if that port has no outgoing link.
+  /// Returns the destination of the first link leaving (switch, port), or
+  /// nullptr if that port has no outgoing link. O(1) unless \p P is not an
+  /// allocated port or the first link naming it leaves from another switch
+  /// (links only a .repro can declare); those fall back to a scan.
   const Location *linkFrom(SwitchId S, PortId P) const;
-
-  /// Returns the locations with a link into (switch \p S, port \p P):
-  /// used to find which ports of a switch can receive packets.
-  std::vector<Location> linksInto(SwitchId S, PortId P) const;
 
   /// Returns all (switch, port) pairs fed directly by a host link —
   /// the network ingresses (initial Kripke states, Def. 9).
@@ -149,7 +149,15 @@ public:
 private:
   std::vector<std::string> SwitchNames;
   std::vector<std::string> HostNames;
-  std::vector<PortId> PortOwner;             // global port -> switch
+  /// One record per global port, kept in a single vector because every
+  /// job copies its Topology.
+  struct PortRecord {
+    SwitchId Owner;
+    /// 1 + index into Links of the first link whose From names this port
+    /// (on any switch); 0 if none does.
+    uint32_t FirstLinkPlus1;
+  };
+  std::vector<PortRecord> Ports;             // global port -> record
   std::vector<std::vector<PortId>> SwitchPortIds; // switch -> ports
   std::vector<Link> Links;
 };

@@ -408,10 +408,16 @@ struct SearchContext {
   /// loss, which sets no flag at all).
   std::atomic<bool> ExternalAbort{false};
   std::atomic<bool> WallAbort{false};
-  /// Units whose quota ran dry mid-subtree (deterministic across shard
-  /// layouts up to winner cancellation; any nonzero count means the
-  /// exploration was truncated and exhaustion cannot be claimed).
-  std::atomic<uint64_t> ExhaustedUnits{0};
+  /// Deterministic mode's per-unit accounting: the quota each unit spent
+  /// and whether it ran dry mid-subtree (then the exploration was
+  /// truncated and exhaustion cannot be claimed). Sized before the
+  /// shards start; each slot is written only by the shard that ran its
+  /// unit and read after every shard joined.
+  struct UnitCharge {
+    uint64_t Spent = 0;
+    bool Truncated = false;
+  };
+  std::vector<UnitCharge> UnitCharges;
   std::atomic<bool> EtImpossible{false};
 
   /// Winner slot. Non-budget mode: first completed sequence in time
@@ -456,6 +462,25 @@ struct SearchContext {
     }
     if (!Deterministic)
       Found.requestStop();
+  }
+
+  /// Totals UnitCharges over the units that decide the outcome: every
+  /// unit, or only those up to the winner when there is one. A unit
+  /// above the winner ran only as far as its shard got before the win
+  /// propagated, which is timing, not instance: a 1-shard run never
+  /// starts it. Every unit up to the winner runs to its own conclusion.
+  void chargeTotals(uint64_t &Spent, uint64_t &Exhausted) {
+    size_t End = UnitCharges.size();
+    {
+      MutexLock Lock(WinnerM);
+      if (HaveWinner)
+        End = std::min(End, WinnerUnit + 1);
+    }
+    Spent = Exhausted = 0;
+    for (size_t U = 0; U != End; ++U) {
+      Spent += UnitCharges[U].Spent;
+      Exhausted += UnitCharges[U].Truncated;
+    }
   }
 
   /// The winner slot under WinnerM, copied out in one critical section —
@@ -706,12 +731,9 @@ private:
   void finishUnit() {
     if (!Ctx.Deterministic)
       return;
-    Stats.BudgetSpent += Account.spent();
+    Ctx.UnitCharges[CurrentUnit] = {Account.spent(), UnitTruncated};
     if (UnitET)
       Stats.SatClauses += UnitET->numClauses();
-    if (UnitTruncated)
-      // relaxed: a tally read only after every shard joined.
-      Ctx.ExhaustedUnits.fetch_add(1, std::memory_order_relaxed);
     // Unit-local entries are still instance facts; keep them for the
     // cross-job export instead of dropping them with the unit. (Budget
     // mode never *imports*, but what a budgeted probe learned is gold
@@ -1408,6 +1430,8 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     Ctx.Ledger =
         BudgetLedger::carveTotal(Opts.MaxCheckCalls, Ctx.OpOrder.size());
   Ctx.Deterministic = Ctx.Ledger.limited();
+  if (Ctx.Deterministic)
+    Ctx.UnitCharges.resize(Ctx.OpOrder.size());
 
   // Cross-job learning (support/ConstraintStore.h): import the wrong-set
   // entries earlier runs of this (scenario, granularity) published and
@@ -1509,7 +1533,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
         Opts.Learning->markImpossible(LearnKey, Ctx.Ops.size());
     }
     Total.EarlyTerminated |= Ctx.EtImpossible.load();
-    Total.ExhaustedUnits = Ctx.ExhaustedUnits.load();
+    Ctx.chargeTotals(Total.BudgetSpent, Total.ExhaustedUnits);
     Total.HitBudget = Ctx.WallAbort.load() || Total.ExhaustedUnits > 0;
     Total.Interrupted = Ctx.ExternalAbort.load() || Ctx.WallAbort.load();
     if (Ctx.Deterministic) {
@@ -1597,10 +1621,12 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   SearchSeconds = Ctx.Clock.seconds();
   std::vector<unsigned> WinnerSeq;
   if (!Ctx.winnerSnapshot(WinnerSeq)) {
+    uint64_t Spent, Exhausted;
+    Ctx.chargeTotals(Spent, Exhausted);
     if (Ctx.EtImpossible.load())
       Finish(SynthStatus::Impossible); // SAT proof; outranks an abort.
     else if (Ctx.ExternalAbort.load() || Ctx.WallAbort.load() ||
-             Ctx.ExhaustedUnits.load() > 0)
+             Exhausted > 0)
       Finish(SynthStatus::Aborted); // Truncated somewhere: exhaustion
                                     // cannot be claimed.
     else

@@ -222,9 +222,9 @@ struct SynthStats {
   /// Deterministic-budget accounting (all zero for unlimited runs):
   /// charged check calls across every work unit, the unspent remainder
   /// of the ledger's hard total, and the number of units that ran out
-  /// of quota. Spent/Remaining may vary with scheduling (a sibling can
-  /// start a doomed unit before the winner propagates); the *verdict*
-  /// never does.
+  /// of quota. Units above the winner are not counted (a sibling may
+  /// start one before the win propagates), so like the verdict these
+  /// are a pure function of (job, budget).
   uint64_t BudgetSpent = 0;
   uint64_t BudgetRemaining = 0;
   uint64_t ExhaustedUnits = 0;

@@ -185,6 +185,52 @@ TEST(ClosureTest, SinkLabelIsSelfFollowing) {
   }
 }
 
+/// extend() must produce a set that follows its successor set and is
+/// consistent at the state, whatever the successor set: its compiled
+/// child indices have to agree with the formulas on every property shape.
+TEST(ClosureTest, ExtendFollowsRandomSetsOnEveryProperty) {
+  FormulaFactory FF;
+  Rng R(17);
+  Formula Guard = classGuard(FF, TrafficClass{makeHeader(1, 2), "c"});
+  std::vector<Formula> Props = {
+      Guard,
+      reachabilityProperty(FF, 3, 7),
+      reachabilityProperty(FF, 3, 7, Guard),
+      waypointProperty(FF, 3, Prop::onSwitch(2), 7),
+      waypointProperty(FF, 3, Prop::onSwitch(2), 7, Guard),
+      serviceChainProperty(FF, 3, {Prop::onSwitch(1), Prop::onSwitch(4)}, 7),
+      serviceChainProperty(FF, 3, {Prop::onSwitch(1), Prop::onSwitch(4)}, 7,
+                           Guard),
+      eitherWaypointProperty(FF, 3, 2, 4, 7),
+      eitherWaypointProperty(FF, 3, 2, 4, 7, Guard)};
+  for (int I = 0; I != 20; ++I)
+    Props.push_back(randomFormula(FF, R, 4));
+
+  for (Formula F : Props) {
+    Closure Cl(F);
+    for (unsigned I = 0; I != Cl.size(); ++I) {
+      Formula Item = Cl.item(I);
+      const Closure::Node &N = Cl.node(I);
+      EXPECT_EQ(N.Kind, Item->kind());
+      if (Item->lhs()) {
+        EXPECT_EQ(N.Lhs, Cl.indexOf(Item->lhs()));
+      }
+      if (Item->rhs()) {
+        EXPECT_EQ(N.Rhs, Cl.indexOf(Item->rhs()));
+      }
+    }
+    for (int Round = 0; Round != 50; ++Round) {
+      Bitset Succ(Cl.size());
+      for (unsigned I = 0; I != Cl.size(); ++I)
+        Succ.assign(I, R.nextBool(0.5));
+      Bitset Atoms = Cl.atomBits(randomTrace(R, 1, 6, 9)[0]);
+      Bitset M = Cl.extend(Succ, Atoms);
+      EXPECT_TRUE(Cl.follows(M, Succ)) << printFormula(F);
+      EXPECT_TRUE(Cl.consistentAt(M, Atoms)) << printFormula(F);
+    }
+  }
+}
+
 TEST(PropertiesTest, ReachabilityShape) {
   FormulaFactory FF;
   Formula F = reachabilityProperty(FF, 3, 7);

@@ -145,26 +145,37 @@ INSTANTIATE_TEST_SUITE_P(
                       CheckerAgreementParam{25, 5, 4},
                       CheckerAgreementParam{26, 8, 3}));
 
-/// Property test: after random update/rollback storms, incremental
-/// rechecking agrees with a batch checker bound fresh to the same
-/// configuration — and so do the labels.
-TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
-  Rng R(31);
+/// Property test: drives an incremental checker through random update and
+/// rollback storms on small random nets. After every update its verdict
+/// and counterexample must equal those of a checker bound fresh to the
+/// same configuration, and after every step so must its labels.
+/// \p Build makes the property for a net.
+template <typename BuildFn>
+static void expectIncrementalMatchesFreshBindUnderStorm(uint64_t Seed,
+                                                        BuildFn Build) {
+  Rng R(Seed);
+  unsigned Storms = 0;
   for (int Round = 0; Round != 15; ++Round) {
     RandomNet Net = randomNet(R, 6);
     Config Cfg = randomConfig(Net, R);
     FormulaFactory FF;
-    Formula Phi =
-        reachabilityProperty(FF, Net.SrcPort, Net.DstPort);
+    Formula Phi = Build(FF, Net, R);
 
     KripkeStructure K(Net.Topo, Cfg, Net.Classes);
+    if (K.findForwardingLoop())
+      continue; // Labels are only defined on loop-free structures.
     LabelingChecker Inc(LabelingChecker::Mode::Incremental);
-    if (!Inc.bind(K, Phi).Holds)
-      continue; // The random base config must satisfy the property.
+    Inc.bind(K, Phi);
+    ++Storms;
 
-    // Mirror the synthesizer's discipline: a failed recheck is rolled
-    // back immediately, a passing one may stick around or be rolled back
-    // later.
+    auto ExpectLabelsMatch = [&](const LabelingChecker &Ref) {
+      for (StateId S = 0; S != K.numStates(); ++S)
+        EXPECT_EQ(Inc.label(S), Ref.label(S)) << K.stateName(S);
+    };
+
+    // A looping update is rolled back immediately, as the synthesizer
+    // does; any other may stick around or be rolled back later, so undo
+    // frames stack up even on nets where the property mostly fails.
     std::vector<KripkeStructure::UndoRecord> Undos;
     for (int Step = 0; Step != 12; ++Step) {
       if (!Undos.empty() && R.nextBool(0.4)) {
@@ -181,11 +192,21 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
         UpdateInfo Info;
         Info.Sw = Sw;
         Info.ChangedStates = &Changed;
-        if (Inc.recheckAfterUpdate(Info).Holds) {
-          Undos.push_back(std::move(Undo));
-        } else {
+        CheckResult Res = Inc.recheckAfterUpdate(Info);
+
+        KripkeStructure KRef(Net.Topo, K.config(), Net.Classes);
+        LabelingChecker Ref;
+        CheckResult RefRes = Ref.bind(KRef, Phi);
+        EXPECT_EQ(Res.Holds, RefRes.Holds);
+        // A loop leaves the labels as they were, and the two loop
+        // searches may report the cycle from different states.
+        if (KRef.findForwardingLoop()) {
           Inc.notifyRollback();
           K.undo(Undo);
+        } else {
+          EXPECT_EQ(Res.Cex, RefRes.Cex);
+          ExpectLabelsMatch(Ref);
+          Undos.push_back(std::move(Undo));
         }
       }
 
@@ -193,12 +214,49 @@ TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
       // configuration.
       KripkeStructure KRef(Net.Topo, K.config(), Net.Classes);
       LabelingChecker Ref;
-      CheckResult RefRes = Ref.bind(KRef, Phi);
-      EXPECT_TRUE(RefRes.Holds); // Only passing configs survive.
-      for (StateId S = 0; S != K.numStates(); ++S)
-        EXPECT_EQ(Inc.label(S), Ref.label(S)) << K.stateName(S);
+      Ref.bind(KRef, Phi);
+      ExpectLabelsMatch(Ref);
     }
   }
+  EXPECT_GT(Storms, 0u);
+}
+
+TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderUpdateStorm) {
+  expectIncrementalMatchesFreshBindUnderStorm(
+      31, [](FormulaFactory &FF, const RandomNet &Net, Rng &) {
+        return reachabilityProperty(FF, Net.SrcPort, Net.DstPort);
+      });
+}
+
+TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderWaypointStorm) {
+  expectIncrementalMatchesFreshBindUnderStorm(
+      32, [](FormulaFactory &FF, const RandomNet &Net, Rng &R) {
+        Prop Way = Prop::onSwitch(
+            static_cast<SwitchId>(R.nextBelow(Net.Topo.numSwitches())));
+        return waypointProperty(FF, Net.SrcPort, Way, Net.DstPort,
+                                classGuard(FF, Net.Classes[0]));
+      });
+}
+
+TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderServiceChainStorm) {
+  expectIncrementalMatchesFreshBindUnderStorm(
+      33, [](FormulaFactory &FF, const RandomNet &Net, Rng &R) {
+        std::vector<Prop> Chain;
+        for (int I = 0; I != 2; ++I)
+          Chain.push_back(Prop::onSwitch(
+              static_cast<SwitchId>(R.nextBelow(Net.Topo.numSwitches()))));
+        return serviceChainProperty(FF, Net.SrcPort, Chain, Net.DstPort);
+      });
+}
+
+/// Random formulas reach the Next and Release items that the property
+/// builders never emit.
+TEST(LabelingCheckerTest, IncrementalEqualsBatchUnderRandomFormulaStorm) {
+  expectIncrementalMatchesFreshBindUnderStorm(
+      34, [](FormulaFactory &FF, const RandomNet &Net, Rng &R) {
+        return randomFormula(FF, R, 4, Net.Topo.numSwitches(),
+                             Net.Topo.numPorts());
+      });
 }
 
 TEST(LabelingCheckerTest, BatchModeWorksWithoutRollbacks) {

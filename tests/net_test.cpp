@@ -8,6 +8,8 @@
 #include "net/Config.h"
 #include "net/Rule.h"
 #include "net/Topology.h"
+#include "support/Random.h"
+#include "topo/Generators.h"
 
 #include <gtest/gtest.h>
 
@@ -134,6 +136,65 @@ TEST(TopologyTest, LinkLookup) {
   EXPECT_EQ(To->Switch, B);
   EXPECT_EQ(To->Port, PB);
   EXPECT_EQ(T.linkFrom(A, PB), nullptr);
+}
+
+/// The first-match link scan that the per-port link record replaces.
+static const Location *linkFromByScan(const Topology &T, SwitchId S,
+                                      PortId P) {
+  for (const Link &L : T.links())
+    if (!L.From.isHost() && L.From.Switch == S && L.From.Port == P)
+      return &L.To;
+  return nullptr;
+}
+
+static void expectLinkFromMatchesScan(const Topology &T) {
+  std::vector<PortId> Queries = {InvalidPort, T.numPorts(),
+                                 T.numPorts() + 7};
+  for (PortId P = 0; P != T.numPorts(); ++P)
+    Queries.push_back(P);
+  for (SwitchId S = 0; S != T.numSwitches(); ++S)
+    for (PortId P : Queries)
+      EXPECT_EQ(T.linkFrom(S, P), linkFromByScan(T, S, P))
+          << "switch " << S << ", port " << P;
+}
+
+TEST(TopologyTest, LinkFromMatchesFirstMatchScan) {
+  expectLinkFromMatchesScan(buildZooLike(0));
+  Rng R(7);
+  expectLinkFromMatchesScan(buildSmallWorld(40, 4, 0.2, R));
+
+  // Hand-built corner cases, all accepted by parseRepro.
+  Topology T;
+  SwitchId A = T.addSwitch("a");
+  SwitchId B = T.addSwitch("b");
+  SwitchId C = T.addSwitch("c");
+  HostId H = T.addHost("h");
+  PortId PA = T.addPort(A);
+  PortId PB = T.addPort(B);
+  PortId PC = T.addPort(C);
+  PortId Unwired = T.addPort(C);
+  T.addLink(Location::host(H), Location::switchPort(A, PA));
+  // (a) A link leaving B's port from switch C, declared before B's own.
+  T.addLink(Location::switchPort(C, PB), Location::host(H));
+  T.addLink(Location::switchPort(B, PB), Location::switchPort(A, PA));
+  // (b) Two links leaving one port: the first must win.
+  T.addLink(Location::switchPort(A, PA), Location::switchPort(B, PB));
+  T.addLink(Location::switchPort(A, PA), Location::switchPort(C, PC));
+  // A link leaving InvalidPort, as minimization can leave behind.
+  T.addLink(Location::switchPort(C, InvalidPort), Location::host(H));
+  expectLinkFromMatchesScan(T);
+
+  const Location *FromB = T.linkFrom(B, PB);
+  ASSERT_NE(FromB, nullptr);
+  EXPECT_EQ(FromB->Switch, A);
+  const Location *FromA = T.linkFrom(A, PA);
+  ASSERT_NE(FromA, nullptr);
+  EXPECT_EQ(FromA->Switch, B);
+  EXPECT_TRUE(T.linkFrom(C, PB)->isHost());
+  EXPECT_TRUE(T.linkFrom(C, InvalidPort)->isHost());
+  // (c) An unwired port has no outgoing link.
+  EXPECT_EQ(T.linkFrom(C, Unwired), nullptr);
+  EXPECT_EQ(T.linkFrom(C, PC), nullptr);
 }
 
 TEST(TopologyTest, HostAttachment) {
