@@ -11,10 +11,10 @@ annotations for regressions beyond a threshold:
     section,
   - total checker-query INCREASES > threshold in the learning "on" mode
     (fewer queries is the point of the constraint store),
-  - jobs/sec drops, checker-query INCREASES, or minimized-clause /
-    shed-member DROPS > threshold in the "conflict" section (the
-    conflict-driven knobs), plus a within-run check that the knobs-on
-    pass still cuts >= 25% of the knobs-off pass's checker queries,
+  - jobs/sec drops, checker-query INCREASES, or shed-member DROPS >
+    threshold in the "conflict" section (portfolio proof shedding),
+    plus a within-run check that the shedding ("on") pass still cuts
+    >= 25% of the non-sheddable ("off") pass's checker queries,
   - p50/p95/p99 job-latency INCREASES > threshold in the sweep, shards,
     and budget sections (lower is better),
   - per-phase cpu-second INCREASES or per-phase share INCREASES >
@@ -174,13 +174,12 @@ def main():
     compare_section(base, cur, "learning", "mode",
                     [("jobs_per_sec", False),
                      ("total_queries", True)], t)
-    # Conflict-driven knobs: regressions against the baseline run, plus
-    # a within-run floor — knobs-on must keep cutting at least 25% of
-    # the knobs-off checker queries (the whole point of the layer).
+    # Proof shedding: regressions against the baseline run, plus a
+    # within-run floor — shedding must keep cutting at least 25% of the
+    # non-sheddable pass's checker queries (the whole point of it).
     # Fail-soft like everything else here.
     compare_section(base, cur, "conflict", "mode",
                     [("jobs_per_sec", False), ("total_queries", True),
-                     ("clauses_minimized", False),
                      ("shed_members", False)], t)
     conflict = index_by(cur.get("conflict", []), "mode")
     c_off, c_on = conflict.get("off"), conflict.get("on")
@@ -188,10 +187,10 @@ def main():
         reduction = 1.0 - (c_on.get("total_queries", 0)
                            / c_off["total_queries"])
         if reduction < 0.25:
-            warn(f"conflict knobs-on query reduction fell to "
+            warn(f"conflict shedding query reduction fell to "
                  f"{reduction * 100:.1f}% (floor: 25%)")
         else:
-            note(f"conflict knobs-on query reduction: "
+            note(f"conflict shedding query reduction: "
                  f"{reduction * 100:.1f}%")
     compare_section(base, cur, "zoo", "name",
                     [("jobs_per_sec", False),

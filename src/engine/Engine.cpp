@@ -195,14 +195,6 @@ Digest netupd::digestOf(const SynthJob &Job) {
     B.addBool(M.Opts.EarlyTermination);
     B.addBool(M.Opts.WaitRemoval);
     B.addBool(M.Opts.RuleGranularity);
-    // The conflict-driven knobs are semantic too: they change which
-    // sequence the DFS finds first (ordering, restarts) and which
-    // configurations a budgeted unit affords (minimized entries prune
-    // more per check), so jobs differing in them are not
-    // interchangeable.
-    B.addBool(M.Opts.ClauseMinimization);
-    B.addBool(M.Opts.ActivityOrdering);
-    B.addBool(M.Opts.Restarts);
     B.addU64(M.Opts.MaxCheckCalls);
     B.addU64(M.Opts.UnitCheckCalls);
   }
@@ -459,18 +451,14 @@ SynthReport SynthEngine::runOneJob(const SynthJob &Job, size_t Index,
   // reaches it regardless of knobs or backend — so only members that
   // might not *complete* (a check budget could report Aborted, a soft
   // wall could interrupt) or might not run at all (unknown backend, a
-  // private store this engine cannot speak for) are excluded. A member
-  // that switched conflict-driven learning off (ClauseMinimization
-  // false) opts out of proof *reuse* as well — its own runs still
-  // publish — so knob-off runs measure the full standalone search the
-  // knob comparison needs.
+  // private store this engine cannot speak for) are excluded. Excluded
+  // members still publish their own proofs for later members to shed on.
   std::vector<uint8_t> Shed(Members.size(), 0);
   if (Learn) {
     for (size_t I = 0; I != Members.size(); ++I) {
       const PortfolioMember &M = Members[I];
-      if (!M.Opts.ClauseMinimization || M.Opts.Learning ||
-          M.Opts.MaxCheckCalls > 0 || M.Opts.UnitCheckCalls > 0 ||
-          M.Opts.TimeoutSeconds > 0.0 ||
+      if (M.Opts.Learning || M.Opts.MaxCheckCalls > 0 ||
+          M.Opts.UnitCheckCalls > 0 || M.Opts.TimeoutSeconds > 0.0 ||
           !BackendFactory::instance().known(M.Backend))
         continue;
       if (!Learn->knownImpossible(

@@ -57,28 +57,16 @@ std::string cellName(const std::string &Backend, bool RuleGran,
   return N;
 }
 
-/// Conflict-driven knob shape for a matrix cell; the default mirrors
-/// SynthOptions (all three on).
-struct KnobSpec {
-  bool Min = true, Act = true, Rst = true;
-};
-
 /// One matrix cell: a plain synthesizeUpdate run with a fresh checker.
 SynthResult runCell(const Scenario &S, const std::string &Backend,
                     bool RuleGran, const BudgetSpec *Budget, unsigned Shards,
-                    bool Steal, const std::shared_ptr<ConstraintStore> &L,
-                    const KnobSpec *Knobs = nullptr) {
+                    bool Steal, const std::shared_ptr<ConstraintStore> &L) {
   FormulaFactory FF;
   std::unique_ptr<CheckerBackend> Checker =
       BackendFactory::instance().create(Backend, S);
   SynthOptions O;
   O.RuleGranularity = RuleGran;
   O.WaitRemoval = false; // Minimal, byte-comparable sequences.
-  if (Knobs) {
-    O.ClauseMinimization = Knobs->Min;
-    O.ActivityOrdering = Knobs->Act;
-    O.Restarts = Knobs->Rst;
-  }
   if (Budget) {
     if (Budget->PerUnit)
       O.UnitCheckCalls = Budget->Amount;
@@ -155,6 +143,31 @@ Disagreement disagree(std::string What, std::string CellA, std::string CellB,
   D.Expected = std::move(Expected);
   D.Got = std::move(Got);
   return D;
+}
+
+/// The shared-versus-unit-scoped prune invariant: a budgeted run that
+/// exhausted no unit ran every unit up to its winner to its own
+/// conclusion, and unit-scoped pruning only re-explores subtrees the
+/// shared state would have skipped — none of which holds a first
+/// success — so it must return the unlimited sequential reference's
+/// verdict and exact bytes.
+std::optional<Disagreement>
+checkCompletedBudget(const Scenario &S, SynthStatus RefStatus,
+                     const std::string &RefName, const std::string &RefCmds,
+                     const SynthResult &R, const std::string &Name) {
+  if (R.Stats.ExhaustedUnits != 0)
+    return std::nullopt;
+  if (R.Status != RefStatus)
+    return disagree("completed budget run drifted from the unlimited "
+                    "sequential verdict",
+                    RefName, Name, statusName(RefStatus),
+                    statusName(R.Status));
+  std::string Cmds = commandSeqToString(S.Topo, R.Commands);
+  if (Cmds != RefCmds)
+    return disagree("completed budget run drifted from the unlimited "
+                    "sequential sequence",
+                    RefName, Name, RefCmds, Cmds);
+  return std::nullopt;
 }
 
 /// Zoo-like indices small enough for a 100+-cell matrix run (the matrix
@@ -399,6 +412,9 @@ fuzz::checkScenario(const Scenario &S,
                   break;
                 }
               } else {
+                if ((Bad = checkCompletedBudget(S, Ref.Status, RefName,
+                                                RefCmds, R, Name)))
+                  break;
                 if (!BRef) {
                   // First budgeted cell of this backend group is the
                   // (1 shard, no steal, no learning) budget reference.
@@ -439,8 +455,7 @@ fuzz::checkScenario(const Scenario &S,
                                  std::to_string(R.Stats.ImportedConstraints));
                   break;
                 }
-                if (R.Status != SynthStatus::Success &&
-                    R.Stats.BudgetSpent != BRef->Stats.BudgetSpent) {
+                if (R.Stats.BudgetSpent != BRef->Stats.BudgetSpent) {
                   Bad = disagree("budget accounting drift", BRefName, Name,
                                  std::to_string(BRef->Stats.BudgetSpent),
                                  std::to_string(R.Stats.BudgetSpent));
@@ -459,103 +474,6 @@ fuzz::checkScenario(const Scenario &S,
       }
       if (Bad)
         break;
-    }
-    if (Bad)
-      break;
-
-    // Conflict-driven knob cells (reference backend). Clause
-    // minimization generalizes W entries by sound resolution — the set
-    // of refuted configurations and the candidate order are unchanged —
-    // so its off-cell must reproduce the reference bytes. Activity
-    // ordering and restarts legally reorder the search, so their
-    // off-cells pin the verdict and replay-check the sequence instead.
-    struct KnobCell {
-      const char *Tag;
-      KnobSpec K;
-      bool ByteCompare;
-    };
-    const KnobCell KnobCells[] = {
-        {"min-off", {false, true, true}, true},
-        {"act-off", {true, false, true}, false},
-        {"rst-off", {true, true, false}, false},
-    };
-    for (const KnobCell &KC : KnobCells) {
-      SynthResult R = runCell(S, Backends[0], RuleGran, nullptr, 1, false,
-                              nullptr, &KC.K);
-      ++Cells;
-      std::string Name = RefName + "/" + KC.Tag;
-      if (R.Status != Ref.Status) {
-        Bad = disagree("conflict knob changed the verdict", RefName, Name,
-                       statusName(Ref.Status), statusName(R.Status));
-        break;
-      }
-      if (KC.ByteCompare) {
-        std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-        if (Cmds != RefCmds) {
-          Bad = disagree("clause minimization moved the sequence", RefName,
-                         Name, RefCmds, Cmds);
-          break;
-        }
-      } else if (R.Status == SynthStatus::Success) {
-        std::string Why;
-        if (!replayOk(S, R.Commands, &Why)) {
-          Bad = disagree("knob-off sequence fails replay", RefName, Name,
-                         "correct careful sequence", Why);
-          break;
-        }
-      }
-    }
-    if (Bad)
-      break;
-
-    // The all-knobs-off budget group: the knobs are semantic (part of
-    // the job digest), so these cells form their own per-backend group
-    // rather than comparing against the knob-on budget reference — the
-    // (job, budget) purity contract must hold for the knob-off job
-    // shape across shard counts too.
-    {
-      const KnobSpec AllOff{false, false, false};
-      std::optional<SynthResult> KRef;
-      std::string KRefCmds, KRefName;
-      for (unsigned Shards : {1u, 4u}) {
-        SynthResult R = runCell(S, Backends[0], RuleGran, &Budget, Shards,
-                                false, nullptr, &AllOff);
-        ++Cells;
-        std::string Name =
-            cellName(Backends[0], RuleGran, true, Shards, false, false) +
-            "/conflict-off";
-        if (!KRef) {
-          KRef = R;
-          KRefCmds = commandSeqToString(S.Topo, R.Commands);
-          KRefName = Name;
-          if (R.Status != SynthStatus::Aborted && R.Status != Ref.Status) {
-            Bad = disagree("completed knob-off budget verdict contradicts "
-                           "unlimited verdict",
-                           RefName, Name, statusName(Ref.Status),
-                           statusName(R.Status));
-            break;
-          }
-          continue;
-        }
-        if (R.Status != KRef->Status) {
-          Bad = disagree("knob-off budget verdict drift", KRefName, Name,
-                         statusName(KRef->Status), statusName(R.Status));
-          break;
-        }
-        std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-        if (Cmds != KRefCmds) {
-          Bad = disagree("knob-off budget sequence drift", KRefName, Name,
-                         KRefCmds, Cmds);
-          break;
-        }
-        if (R.Status != SynthStatus::Success &&
-            R.Stats.BudgetSpent != KRef->Stats.BudgetSpent) {
-          Bad = disagree("knob-off budget accounting drift", KRefName, Name,
-                         std::to_string(KRef->Stats.BudgetSpent),
-                         std::to_string(R.Stats.BudgetSpent));
-          break;
-        }
-      }
     }
     if (Bad)
       break;
@@ -631,30 +549,23 @@ fuzz::checkLargeScenario(const Scenario &S, const std::string &Backend,
         break;
       }
     }
-    // The one differential cell at this scale: clause minimization off
-    // must reproduce the reference bytes — minimization is sound
-    // resolution, so the refuted set, the conflict sequence (activity
-    // bumps and restart points included), and therefore the committed
-    // sequence are all invariant under the knob.
-    const KnobSpec MinOff{false, true, true};
-    SynthResult R = runCell(S, Backend, RuleGran, nullptr, 1, false,
-                            nullptr, &MinOff);
+    // The one differential cell at this scale: the same sequential
+    // search under a quota no unit can exhaust, so it prunes against
+    // unit-scoped state and must still reproduce the reference bytes.
+    const BudgetSpec Generous{uint64_t(1) << 30, /*PerUnit=*/true};
+    SynthResult R =
+        runCell(S, Backend, RuleGran, &Generous, 1, false, nullptr);
     ++Cells;
-    std::string Name = RefName + "/min-off";
-    if (R.Status != Ref.Status) {
-      Bad = disagree("clause minimization changed a large-instance "
-                     "verdict",
-                     RefName, Name, statusName(Ref.Status),
-                     statusName(R.Status));
+    std::string Name = cellName(Backend, RuleGran, true, 1, false, false);
+    if (R.Stats.ExhaustedUnits != 0) {
+      Bad = disagree("a generous unit quota ran dry", RefName, Name,
+                     "ExhaustedUnits == 0",
+                     std::to_string(R.Stats.ExhaustedUnits));
       break;
     }
-    std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-    if (Cmds != RefCmds) {
-      Bad = disagree("clause minimization moved a large-instance "
-                     "sequence",
-                     RefName, Name, RefCmds, Cmds);
+    if ((Bad = checkCompletedBudget(S, Ref.Status, RefName, RefCmds, R,
+                                    Name)))
       break;
-    }
   }
   if (CellRuns)
     *CellRuns += Cells;

@@ -30,21 +30,17 @@
 ///    exactly on the final configuration;
 ///  - budgeted cells are byte-identical (verdict and sequence) to their
 ///    own backend's 1-shard budget reference, never steal, never import
-///    learned constraints, and agree on BudgetSpent on non-Success;
+///    learned constraints, and agree on BudgetSpent on every cell;
 ///  - a budgeted cell that completes (is not Aborted) agrees with the
-///    unlimited verdict;
+///    unlimited verdict, and one that exhausted no unit
+///    (ExhaustedUnits == 0) returns the unlimited 1-shard reference's
+///    verdict and exact bytes — unit-scoped pruning only re-explores
+///    subtrees the shared pruning state skips, none of which holds the
+///    first success;
 ///  - stealing is inert when off or unsharded (StolenTasks == 0);
 ///  - granularities relate: InitialViolation is granularity-independent,
 ///    and a switch-feasible instance is rule-feasible (the converse
-///    fails by design on double diamonds);
-///  - the conflict-driven knobs (SynthOptions::ClauseMinimization /
-///    ActivityOrdering / Restarts) never change a verdict: the min-off
-///    cell must additionally reproduce the reference sequence byte for
-///    byte (minimization is sound resolution — it generalizes W
-///    entries without changing the refuted set or candidate order),
-///    act-off / rst-off cells are replay-checked (those knobs may
-///    legally reorder the search), and the all-off budgeted cells form
-///    their own (job, budget)-purity group across shard counts.
+///    fails by design on double diamonds).
 ///
 /// Every eighth iteration instead drives a churn stream through the
 /// SynthEngine four ways (reference / result cache / learning / both)
@@ -54,9 +50,10 @@
 /// Every sixteenth iteration (offset so it never displaces a churn
 /// iteration) generates a LARGE instance — a 240..360-switch
 /// small-world fabric with long-path diamonds, diff-capped so the
-/// search lattice stays tractable — and runs the sequential unlimited
-/// cells only: reference vs min-off byte-compare per granularity, plus
-/// replay and the cross-granularity relations. This family stresses
+/// search lattice stays tractable — and runs sequential cells only: the
+/// unlimited reference against a 1-shard cell under a unit quota no
+/// unit can exhaust (byte-compare per granularity), plus replay and the
+/// cross-granularity relations. This family stresses
 /// checker state-space scale, which the full matrix (sized for 100+
 /// cells per instance) deliberately avoids.
 ///
@@ -169,9 +166,9 @@ Scenario generateLargeInstance(Rng &R);
 
 /// Runs the large-family cells over \p S on the single reference
 /// backend \p Backend: per granularity, the unlimited sequential
-/// reference cell (replay-checked on Success) against a min-off cell
-/// that must match it byte for byte, plus the cross-granularity
-/// relations. Returns the first oracle violation, if any; \p CellRuns
+/// reference cell (replay-checked on Success) against a generously
+/// budgeted sequential cell that must exhaust no unit and match it byte
+/// for byte, plus the cross-granularity relations. Returns the first oracle violation, if any; \p CellRuns
 /// (optional) accumulates synthesis runs.
 std::optional<Disagreement>
 checkLargeScenario(const Scenario &S, const std::string &Backend,

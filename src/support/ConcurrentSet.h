@@ -349,9 +349,10 @@ private:
 /// A single-threaded insert-only set of Bitsets, open-addressed so the
 /// per-probe cost is a hash plus a few contiguous slot compares and the
 /// per-insert cost is a buffer-reusing Bitset assignment — no node
-/// allocations. Used for the sequential search's V set and the
-/// budget-mode unit-local V set, both of which clear() per unit and
-/// refill to a similar size (the slot buffers are kept across clears).
+/// allocations. Used for the single-shard V claim of the search's
+/// PruneState; budget mode's unit-scoped instance clear()s it per unit
+/// and refills it to a similar size (the slot buffers are kept across
+/// clears).
 class FlatBitsetSet {
 public:
   /// Inserts \p B; returns true iff it was not already present.
@@ -389,49 +390,6 @@ public:
   }
 
   size_t size() const { return Count; }
-
-  /// Removes \p B if present; returns true iff it was removed. Uses
-  /// backward-shift deletion (no tombstones), so probe chains stay
-  /// compact and contains()/insert() need no deleted-slot logic. The
-  /// restart machinery in synth/OrderUpdate.cpp un-claims abandoned
-  /// path configurations through this; plain searches never erase.
-  bool erase(const Bitset &B) {
-    if (Slots.empty())
-      return false;
-    size_t H = BitsetHash()(B);
-    size_t Mask = Slots.size() - 1;
-    size_t I = H & Mask;
-    for (;; I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
-      if (!S.Used)
-        return false;
-      if (S.H == H && S.Value == B)
-        break;
-    }
-    // Backward-shift: walk the probe chain after the hole; any entry
-    // whose home position does not lie strictly after the hole
-    // (cyclically) is shifted back into it, moving the hole forward.
-    size_t Hole = I;
-    for (size_t J = (Hole + 1) & Mask;; J = (J + 1) & Mask) {
-      Slot &S = Slots[J];
-      if (!S.Used)
-        break;
-      size_t Home = S.H & Mask;
-      // Entry at J may move into Hole iff Home is not in the cyclic
-      // interval (Hole, J] — i.e. the hole sits on its probe path.
-      size_t DistHole = (J - Hole) & Mask;
-      size_t DistHome = (J - Home) & Mask;
-      if (DistHome >= DistHole) {
-        Slots[Hole].H = S.H;
-        Slots[Hole].Used = true;
-        Slots[Hole].Value = std::move(S.Value);
-        Hole = J;
-      }
-    }
-    Slots[Hole].Used = false;
-    --Count;
-    return true;
-  }
 
   /// Empties the set, keeping slot capacity and the Bitset heap buffers
   /// inside the slots for reuse by the next fill.

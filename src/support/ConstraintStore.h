@@ -86,9 +86,8 @@ public:
   /// True iff \p A refutes at least every configuration \p B refutes:
   /// A's mask is a subset of B's and B's value agrees with A's on A's
   /// mask. Then any C with C & B.mask == B.value also has
-  /// C & A.mask == A.value, so B is redundant. Strict-subset masks are
-  /// how clause minimization pays off across jobs: the minimized entry
-  /// evicts every fat ancestor it was carved from.
+  /// C & A.mask == A.value, so B is redundant: an entry learned from a
+  /// shorter counterexample evicts every fatter entry it covers.
   static bool subsumes(const Entry &A, const Entry &B) {
     return B.first.contains(A.first) && (B.second & A.first) == A.second;
   }

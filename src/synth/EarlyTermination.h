@@ -102,13 +102,10 @@ public:
     return Clauses;
   }
 
-  /// Luby restarts the embedded solver performed across every solve so
-  /// far (sat/Solver.h); surfaced for the conflict bench and the
-  /// "synth.sat_restarts" observability counter.
-  uint64_t numRestarts() const {
-    MutexLock Lock(M);
-    return Solver.numRestarts();
-  }
+  /// Drops every constraint, returning to the freshly constructed state
+  /// (the stop token stays installed). Deterministic budget mode reuses
+  /// one instance per searcher this way, resetting it at every unit.
+  void reset();
 
 private:
   /// The literal meaning "operation A is updated before operation B".

@@ -9,11 +9,11 @@
 // sequential and the sharded mode:
 //
 //  - SearchContext: everything shared across shards — the op table, the
-//    concurrent V/W pruning state, the SAT layer, global budgets, the
-//    top-level work-unit counter, and the winner slot. All of it is
-//    either immutable after setup or monotone (V claims, W entries, SAT
-//    clauses, stop flags only ever accumulate), which is why sharing is
-//    sound: a prune learned anywhere holds everywhere.
+//    shared PruneState (V claims, W refutations, SAT layer), global
+//    budgets, the top-level work-unit counter, and the winner slot. All
+//    of it is either immutable after setup or monotone (V claims, W
+//    entries, SAT clauses, stop flags only ever accumulate), which is why
+//    sharing is sound: a prune learned anywhere holds everywhere.
 //
 //  - ShardSearcher: everything one shard owns — a private KripkeStructure
 //    it mutates and rolls back, a private CheckerBackend following that
@@ -55,16 +55,20 @@
 // timing, which is fine when every unit runs to completion (the verdict
 // is exhaustion-stable) but fatal when a budget truncates units — the
 // same job could then Abort or Succeed depending on shard layout. So
-// under a budget each unit explores with unit-local V/W/SAT state and a
-// fixed quota drawn from the BudgetLedger (support/Budget.h), making a
-// unit's outcome — Success with a specific sequence, exhausted quota, or
-// fully-explored failure — a pure function of (instance, quota). The
+// under a budget each searcher owns a private, never-sharded PruneState
+// that it resets at every unit start, and each unit draws a fixed quota
+// from the BudgetLedger (support/Budget.h), making a unit's outcome —
+// Success with a specific sequence, exhausted quota, or fully-explored
+// failure — a pure function of (instance, quota). The prune block is the
+// same in both modes; only the PruneState it consults differs. The
 // winner is the lowest-indexed successful unit, not the first in time,
-// so the returned sequence is deterministic too. The wall clock never
-// interrupts a unit: TimeoutSeconds is polled only between units
-// (everywhere, not just in budget mode — the per-candidate clock read is
-// gone). The duplicated cross-unit exploration this costs is the price
-// of byte-identical verdicts at any shard and worker count.
+// so the returned sequence is deterministic too, and a run that exhausts
+// no unit returns exactly the unlimited sequential search's result (the
+// shared state only ever skips subtrees that hold no first success). The
+// wall clock never interrupts a unit: TimeoutSeconds is polled only
+// between units (everywhere, not just in budget mode). The duplicated
+// cross-unit exploration this costs is the price of byte-identical
+// verdicts at any shard and worker count.
 //
 //===----------------------------------------------------------------------===//
 
@@ -209,21 +213,6 @@ std::vector<Rule> classSlice(const Table &T, const Header &Hdr) {
   return Out;
 }
 
-/// True if configuration \p Bits agrees with wrong-set entry \p E on
-/// every masked operation — the one matching rule behind the W set, the
-/// unit-local W set, and the imported seed list.
-bool entryMatches(const std::pair<Bitset, Bitset> &E, const Bitset &Bits) {
-  return (Bits & E.first) == E.second;
-}
-
-bool matchesAny(const std::vector<std::pair<Bitset, Bitset>> &Entries,
-                const Bitset &Bits) {
-  for (const std::pair<Bitset, Bitset> &E : Entries)
-    if (entryMatches(E, Bits))
-      return true;
-  return false;
-}
-
 /// The table resulting from firing one op on \p Current: the whole final
 /// table (switch granularity), or Current with one class's slice replaced
 /// by the final slice (rule granularity).
@@ -290,6 +279,60 @@ private:
   std::deque<StealTask> Q NETUPD_GUARDED_BY(M);
 };
 
+/// The pruning state of Fig. 4 behind one type: the V claim, the W
+/// refutations, and the early-termination SAT layer. The search context
+/// owns the instance every shard shares; in deterministic budget mode
+/// each searcher owns a private one it resets per unit (see the file
+/// comment). tryCandidate, learnCex, and the ET check run unchanged
+/// against whichever instance their searcher points at.
+class PruneState {
+public:
+  /// Drops every claim, refutation, and SAT clause and re-shapes for
+  /// \p NumOps-wide configurations; the ET stop token stays installed.
+  /// \p Shared selects the concurrent V representation: ParClaims, one
+  /// fetch_or per claim, whenever the op universe fits
+  /// ClaimBitmap::MaxBits, else the striped ParVisited. A single-shard
+  /// instance keeps the plain SeqVisited — the V probe runs per candidate
+  /// at every DFS node, the hottest loop of prune-dominated exhaustive
+  /// searches, and must not pay lock/atomic overhead there (measured ~8x
+  /// on the Fig. 8(h) exhaustive bench when it did). W is one
+  /// watch-indexed container for both shapes: its probes and CAS appends
+  /// are lock-free, so they cost a single-shard instance nothing either.
+  /// Not thread-safe: call before any prober runs.
+  void reset(size_t NumOps, bool Shared) {
+    Sharded = Shared;
+    DirectClaim = Shared && NumOps <= ClaimBitmap::MaxBits;
+    if (DirectClaim)
+      ParClaims.reset(NumOps);
+    else if (Sharded)
+      ParVisited.clear();
+    SeqVisited.clear();
+    Wrong.reset(NumOps);
+    ET.reset();
+  }
+
+  /// The claim: true for exactly one caller per configuration.
+  bool claim(const Bitset &B) {
+    if (!Sharded)
+      return SeqVisited.insert(B);
+    return DirectClaim ? ParClaims.claim(B.word(0)) : ParVisited.insert(B);
+  }
+
+  /// W of Fig. 4: (mask, value) refutations, filed under the first set
+  /// bit of value so a probe touches only entries that could match
+  /// (ConcurrentSet.h).
+  WatchedWrongSet Wrong;
+  /// Internally synchronized, so the shared instance serves every shard.
+  EarlyTermination ET;
+
+private:
+  bool Sharded = false;
+  bool DirectClaim = false;
+  FlatBitsetSet SeqVisited;
+  ClaimBitmap ParClaims;
+  ConcurrentSet<Bitset, BitsetHash> ParVisited;
+};
+
 /// Shard-shared state of one synthesis run; see the file comment.
 struct SearchContext {
   SearchContext(const Topology &Topo, const Config &Initial,
@@ -311,51 +354,19 @@ struct SearchContext {
   std::vector<unsigned> OpOrder; // DFS candidate order (adds first).
   std::vector<std::vector<unsigned>> SwitchOps; // Switch -> op indices.
 
-  /// True once runSearch decided to spawn sibling shards. Decided before
-  /// any searcher runs and constant afterwards; selects between the
-  /// plain and the concurrent pruning containers below. The V/W probes
-  /// run per candidate at every DFS node — the hottest loop of
-  /// prune-dominated exhaustive searches — and a single-shard run must
-  /// not pay lock/atomic overhead there (measured ~8x on the Fig. 8(h)
-  /// exhaustive bench when it did).
-  bool Sharded = false;
-
   /// True when a finite check budget engaged deterministic budget mode
-  /// (see the file comment): pruning state is unit-local (the containers
-  /// below sit unused), quotas come from Ledger, and the winner is the
-  /// lowest successful unit. Decided before any searcher runs.
+  /// (see the file comment): every searcher prunes against its own
+  /// unit-scoped PruneState (Prune below sits unused), quotas come from
+  /// Ledger, and the winner is the lowest successful unit. Decided before
+  /// any searcher runs.
   bool Deterministic = false;
   /// The per-unit carve of the check budget; unlimited when
   /// !Deterministic.
   BudgetLedger Ledger;
 
-  // Pruning state. V keeps one representation per mode (a shared claim
-  // costs atomics a single-shard run must not pay); W is one
-  // watch-indexed container for both modes — its probes and CAS appends
-  // are lock-free, so they cost a single-shard run nothing either.
-  FlatBitsetSet SeqVisited;             // V of Fig. 4 (one shard).
-  /// The sharded V claim. ParClaims, one fetch_or per claim, whenever
-  /// the op universe fits ClaimBitmap::MaxBits (DirectClaim); the
-  /// striped ParVisited for wider universes. Both chosen before any
-  /// searcher runs and constant afterwards.
-  bool DirectClaim = false;
-  ClaimBitmap ParClaims;
-  ConcurrentSet<Bitset, BitsetHash> ParVisited;
-  /// W of Fig. 4: (mask, value) refutations, filed under the first set
-  /// bit of value so a probe touches only entries that could match
-  /// (ConcurrentSet.h). reset() after buildOps, before any searcher.
-  WatchedWrongSet Wrong;
-
-  /// The claim: true for exactly one caller per configuration.
-  bool visitedClaim(const Bitset &B) {
-    if (!Sharded)
-      return SeqVisited.insert(B);
-    return DirectClaim ? ParClaims.claim(B.word(0)) : ParVisited.insert(B);
-  }
-  bool matchesWrong(const Bitset &Bits) const { return Wrong.matches(Bits); }
-  void addWrong(Bitset Mask, Bitset Value) {
-    Wrong.add(std::move(Mask), std::move(Value));
-  }
+  /// The shared pruning state; reset() once the shard count is known,
+  /// before any searcher runs.
+  PruneState Prune;
 
   /// Wrong-set entries imported from the cross-job ConstraintStore:
   /// filled before any searcher runs and immutable afterwards. The
@@ -366,13 +377,9 @@ struct SearchContext {
   /// runSearch).
   WatchedWrongSet SeedWrong;
   /// True when this run publishes its learned entries on retirement;
-  /// budget-mode searchers then keep their unit-local entries for the
+  /// budget-mode searchers then journal their unit-scoped entries for the
   /// export instead of dropping them with the unit.
   bool ExportLearning = false;
-
-  bool matchesSeed(const Bitset &Bits) const {
-    return SeedWrong.matches(Bits);
-  }
 
   /// Work-stealing state (sharded non-budget mode only; see the file
   /// comment). One bounded deque per shard; a shard pushes only to its
@@ -386,8 +393,6 @@ struct SearchContext {
   std::vector<std::unique_ptr<StealDeque>> Deques;
   std::atomic<unsigned> ActiveWorkers{0};
   std::atomic<unsigned> IdleShards{0};
-
-  EarlyTermination ET; // Internally synchronized; non-budget mode only.
 
   // Cancellation and abort-cause bookkeeping. The wall clock only
   // matters between work units (soft hint); check budgets are accounted
@@ -564,20 +569,21 @@ public:
   ShardSearcher(SearchContext &Ctx, KripkeStructure &K,
                 CheckerBackend &Checker, unsigned ShardIndex = 0)
       : Ctx(Ctx), K(K), Checker(Checker), ShardIndex(ShardIndex),
-        Stop(Ctx.stopToken()) {
+        Stop(Ctx.stopToken()), Prune(&Ctx.Prune) {
     Applied.resize(Ctx.Ops.size());
     // One frame per possible depth, sized once: tryCandidate holds
     // references into Frames across the recursive dfs() call, so the
     // vector must never reallocate.
     Frames.resize(Ctx.Ops.size() + 1);
-    LocalOrder = Ctx.OpOrder;
-    Activity.assign(Ctx.Ops.size(), 0);
-    // DFS restarts engage where un-claiming is private: deterministic
-    // mode (unit-local V) and sequential unlimited mode (SeqVisited has
-    // a single owner). Sharded unlimited mode skips them — erasing from
-    // the shared claim map would race sibling probes, and stealing
-    // already repairs the imbalance restarts target there.
-    RestartsOn = Ctx.Opts.Restarts && (Ctx.Deterministic || !Ctx.Sharded);
+    if (Ctx.Deterministic) {
+      // Budget mode prunes against a private, never-sharded instance
+      // that beginUnit resets, and journals what it learns for the
+      // export (the instance forgets it at the next unit).
+      UnitPrune.emplace();
+      UnitPrune->ET.setStopToken(Stop);
+      Prune = &*UnitPrune;
+      JournalLearned = Ctx.ExportLearning;
+    }
   }
 
   /// Binds the checker to this shard's structure and runs the initial
@@ -640,22 +646,6 @@ public:
       {
         obs::TraceSpan Span("synth.unit");
         Won = tryCandidate(Ctx.OpOrder[Unit]);
-        // Luby restarts: a conflict-heavy descent set RestartPending and
-        // unwound, un-claiming only the abandoned path — every refuted
-        // configuration stays claimed (and in W / the SAT layer), so the
-        // re-entry replays the learned database into a search reordered
-        // by activity. Terminating: each round's conflicts are fresh
-        // refuted configurations, of which there are finitely many.
-        while (!Won && RestartPending && !AbortFlag && !UnitStop) {
-          RestartPending = false;
-          ++RestartIdx;
-          ConflictsSinceRestart = 0;
-          ++Stats.Restarts;
-          if (Ctx.Opts.ActivityOrdering)
-            resortLocalOrder();
-          Won = tryCandidate(Ctx.OpOrder[Unit]);
-        }
-        RestartPending = false;
       }
       Clock.stop(); // Inter-unit work (binds, waits) is not a phase.
       finishUnit();
@@ -683,47 +673,26 @@ public:
     PhaseCheckNs = PhaseMutateNs = PhasePruneNs = PhaseSatNs = 0;
   }
 
-  /// Unit-local wrong-set entries collected for the cross-job export
-  /// (deterministic budget mode only — elsewhere entries live in the
-  /// context's shared containers). Harvested after the shard retires.
+  /// Unit-scoped wrong-set entries journaled in learn order for the
+  /// cross-job export (deterministic budget mode only — elsewhere entries
+  /// live in the shared W). Harvested after the shard retires.
   std::vector<std::pair<Bitset, Bitset>> LearnedWrong;
 
 private:
   /// Resets the unit-scoped state before exploring unit \p Unit. In
-  /// deterministic mode that is the whole point: fresh local V/W/SAT
-  /// state and a fresh quota account make the unit's outcome a pure
-  /// function of (instance, quota).
+  /// deterministic mode that is the whole point: a fresh PruneState and
+  /// a fresh quota account make the unit's outcome a pure function of
+  /// (instance, quota).
   void beginUnit(size_t Unit) {
     CurrentUnit = Unit;
     UnitStop = false;
     UnitTruncated = false;
-    RestartPending = false;
-    RestartIdx = 0;
-    ConflictsSinceRestart = 0;
-    if (Ctx.Opts.ActivityOrdering) {
-      if (Ctx.Deterministic) {
-        // Unit-local activity, like every other piece of unit state:
-        // the candidate order inside a unit must be a pure function of
-        // the unit, not of the units this shard happened to run before.
-        std::fill(Activity.begin(), Activity.end(), 0);
-        TotalActivity = 0;
-        BumpsSinceDecay = 0;
-        LocalOrder = Ctx.OpOrder;
-      } else {
-        resortLocalOrder();
-      }
-    }
     if (!Ctx.Deterministic)
       return;
     Account = Ctx.Ledger.openAccount(Unit);
     Checker.setBudget(&Account);
-    UnitVisited.clear();
-    UnitWrong.clear();
+    UnitPrune->reset(Ctx.Ops.size(), /*Shared=*/false);
     FailuresSinceEtCheck = 0;
-    if (Ctx.Opts.EarlyTermination) {
-      UnitET.emplace();
-      UnitET->setStopToken(Stop);
-    }
   }
 
   /// Folds the finished (or abandoned) unit's accounting into the shard
@@ -732,15 +701,7 @@ private:
     if (!Ctx.Deterministic)
       return;
     Ctx.UnitCharges[CurrentUnit] = {Account.spent(), UnitTruncated};
-    if (UnitET)
-      Stats.SatClauses += UnitET->numClauses();
-    // Unit-local entries are still instance facts; keep them for the
-    // cross-job export instead of dropping them with the unit. (Budget
-    // mode never *imports*, but what a budgeted probe learned is gold
-    // for the unbudgeted runs that follow it.)
-    if (Ctx.ExportLearning)
-      LearnedWrong.insert(LearnedWrong.end(), UnitWrong.begin(),
-                          UnitWrong.end());
+    Stats.SatClauses += UnitPrune->ET.numClauses();
     Checker.setBudget(nullptr);
   }
 
@@ -752,32 +713,20 @@ private:
   bool dfs() {
     if (Applied.count() == Ctx.Ops.size())
       return true;
-    for (unsigned CandIdx = 0; CandIdx != LocalOrder.size(); ++CandIdx) {
-      unsigned I = LocalOrder[CandIdx];
+    for (unsigned I : Ctx.OpOrder) {
       if (Applied.test(I))
         continue;
       // relaxed: advisory idle hint; a stale zero just skips one offer.
       if (Ctx.Stealing && AppliedSeq.size() <= Ctx.StealDepthLimit &&
           Ctx.IdleShards.load(std::memory_order_relaxed) > 0 &&
-          coldCandidate(I) && offerSteal(I))
+          offerSteal(I))
         continue; // Someone else explores this edge; see stealLoop.
       if (tryCandidate(I))
         return true;
-      if (AbortFlag || UnitStop || RestartPending)
+      if (AbortFlag || UnitStop)
         return false;
     }
     return false;
-  }
-
-  /// Steal-offer heuristic: keep conflict-hot candidates local — the
-  /// refutations learned around them live in this shard's recent path
-  /// context — and publish only the cold ones (activity at or below the
-  /// mean). With activity ordering off, everything is offered, which is
-  /// the pre-existing behavior.
-  bool coldCandidate(unsigned I) const {
-    if (!Ctx.Opts.ActivityOrdering)
-      return true;
-    return Activity[I] * Ctx.Ops.size() <= TotalActivity;
   }
 
   /// The body of one DFS edge: prune, claim, apply op \p I, recheck,
@@ -790,79 +739,54 @@ private:
     Bitset &Next = F.Next;
     Next = Applied;
     Next.set(I);
-    if (Ctx.Deterministic) {
-      // Unit-local pruning: nothing another shard does can change which
-      // prefixes this unit affords, so the charge sequence below is
-      // deterministic. The claim comes first (mirroring the concurrent
-      // branch below) so a refuted configuration fires its conflict
-      // event exactly once — noteRefuted feeds the activity and restart
-      // machinery, and its event count must be a property of the
-      // configuration, not of how many paths re-reach it.
-      if (!UnitVisited.insert(Next)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
-      if (Ctx.Opts.CexPruning && matchesUnitWrong(Next)) {
-        ++Stats.CexPrunes;
-        noteRefuted(I);
-        return false;
-      }
-      if (Stop.stopRequested()) {
-        noteStop();
-        return false;
-      }
-      // relaxed: advisory outranking bound (see recordWinner).
-      if (Ctx.BestUnit.load(std::memory_order_relaxed) < CurrentUnit) {
-        // Outranked mid-unit by a lower winner; every unit this shard
-        // could still pull is outranked too, so end the shard. No cause
-        // flag: a recorded winner makes this a Success, not an abort.
-        AbortFlag = true;
-        return false;
-      }
-      if (!Account.canSpend()) {
-        // Quota dry mid-subtree: abandon this unit (recorded as
-        // truncation by finishUnit) but keep pulling later units, which
-        // own their quotas and may still conclude deterministically.
-        UnitTruncated = true;
-        UnitStop = true;
-        return false;
-      }
-    } else {
-      // The claim comes first: one claim replaces a
-      // contains-probe-then-insert pair on the one path every explored
-      // edge takes. Losing the claim is the visited prune; winning it
-      // commits this shard to settling the configuration — by the
-      // W/seed refutations below (the entry proves the check would
-      // fail, so "settled" needs no descent) or by exploring it.
-      if (!Ctx.visitedClaim(Next)) {
-        ++Stats.VisitedPrunes;
-        return false;
-      }
-      // Imported (cross-job) refutations before run-local ones: each
-      // seeded prune skips a check an earlier digest-identical run
-      // already paid for. Seeded prunes fire the conflict event too —
-      // refutedness is an instance fact, and a seeded run must follow
-      // the same activity/restart trajectory as the run that would have
-      // refuted the configuration by checking it (this is what keeps
-      // learning sequence-invariant with the ordering knobs on).
-      if (!Ctx.SeedWrong.empty() && Ctx.matchesSeed(Next)) {
-        ++Stats.SeededPrunes;
-        noteRefuted(I);
-        return false;
-      }
-      if (Ctx.Opts.CexPruning && Ctx.matchesWrong(Next)) {
-        ++Stats.CexPrunes;
-        noteRefuted(I);
-        return false;
-      }
-      // A stop observed after the claim leaves the configuration
-      // claimed-but-unexplored, which is fine: noteStop records the
-      // abort cause, so the verdict block never mistakes this
-      // truncated run for an exhaustive proof.
-      if (Stop.stopRequested()) {
-        noteStop();
-        return false;
-      }
+    // The claim comes first: one claim replaces a
+    // contains-probe-then-insert pair on the one path every explored
+    // edge takes. Losing the claim is the visited prune; winning it
+    // commits this searcher to settling the configuration — by the
+    // seed/W refutations below (the entry proves the check would fail,
+    // so "settled" needs no descent) or by exploring it.
+    if (!Prune->claim(Next)) {
+      ++Stats.VisitedPrunes;
+      return false;
+    }
+    // Imported (cross-job) refutations before run-local ones: each
+    // seeded prune skips a check an earlier digest-identical run
+    // already paid for. Never fires in budget mode, which imports
+    // nothing.
+    if (!Ctx.SeedWrong.empty() && Ctx.SeedWrong.matches(Next)) {
+      ++Stats.SeededPrunes;
+      return false;
+    }
+    if (Ctx.Opts.CexPruning && Prune->Wrong.matches(Next)) {
+      ++Stats.CexPrunes;
+      return false;
+    }
+    // A stop observed after the claim leaves the configuration
+    // claimed-but-unexplored, which is fine: noteStop records the abort
+    // cause, so the verdict block never mistakes this truncated run for
+    // an exhaustive proof.
+    if (Stop.stopRequested()) {
+      noteStop();
+      return false;
+    }
+    // relaxed: advisory outranking bound (see recordWinner).
+    if (Ctx.BestUnit.load(std::memory_order_relaxed) < CurrentUnit) {
+      // Outranked by a lower winner; every unit this shard could still
+      // pull is outranked too, so end the shard. No cause flag: a
+      // recorded winner makes this a Success, not an abort. Outside
+      // budget mode this only anticipates the Found stop recordWinner
+      // fires right after publishing the bound.
+      AbortFlag = true;
+      return false;
+    }
+    if (!Account.canSpend()) {
+      // Quota dry mid-subtree: abandon this unit (recorded as truncation
+      // by finishUnit) but keep pulling later units, which own their
+      // quotas and may still conclude deterministically. The default
+      // unlimited account outside budget mode never runs dry.
+      UnitTruncated = true;
+      UnitStop = true;
+      return false;
     }
 
     const MicroOp &Op = Ctx.Ops[I];
@@ -908,24 +832,13 @@ private:
       if (!Success) {
         Applied.reset(I);
         AppliedSeq.pop_back();
-        // A pending restart abandons this configuration unexplored, not
-        // refuted: release the claim so the re-entered unit can reach
-        // it again. (Refuted configurations keep their claims — they
-        // are the learned database the restart replays.)
-        if (RestartPending)
-          unclaim(Next);
       }
-    } else {
-      // A failed recheck refutes the claimed configuration: the third
-      // source of conflict events (besides seed- and W-matches above).
-      noteRefuted(I);
-      if (Ctx.Opts.CexPruning && !Res.Cex.empty() &&
-          Checker.providesCounterexamples()) {
-        // Mostly SAT-layer work (constraint derivation + clause push);
-        // the W append rides along.
-        Clock.switchTo(PhaseSatNs);
-        learnCex(Res.Cex, Next);
-      }
+    } else if (Ctx.Opts.CexPruning && !Res.Cex.empty() &&
+               Checker.providesCounterexamples()) {
+      // Mostly SAT-layer work (constraint derivation + clause push); the
+      // W append rides along.
+      Clock.switchTo(PhaseSatNs);
+      learnCex(Res.Cex, Next);
     }
 
     if (Success)
@@ -941,11 +854,10 @@ private:
     if (Ctx.Opts.EarlyTermination && !Res.Holds &&
         ++FailuresSinceEtCheck >= EtCheckInterval) {
       FailuresSinceEtCheck = 0;
-      // Deterministic mode consults the unit-local solver (its clause
-      // set, and therefore its verdict, is a pure function of the unit);
-      // an UNSAT answer is an instance-level proof either way.
-      EarlyTermination &ET = Ctx.Deterministic ? *UnitET : Ctx.ET;
-      if (ET.impossible()) {
+      // In budget mode the solver is unit-scoped (its clause set, and
+      // therefore its verdict, is a pure function of the unit); an UNSAT
+      // answer is an instance-level proof either way.
+      if (Prune->ET.impossible()) {
         Stats.EarlyTerminated = true;
         // relaxed: a cause flag read only after every shard joined.
         Ctx.EtImpossible.store(true, std::memory_order_relaxed);
@@ -1124,158 +1036,11 @@ private:
     if (Value.none())
       return;
 
-    // Conflict clause minimization: resolve the fresh entry against
-    // previously learned ones to shrink it to a (greedy) minimal core,
-    // then drop it outright if a stored entry already subsumes it. The
-    // witness database is the unit's own entries in deterministic mode
-    // and this shard's in-order learn log otherwise — both deterministic
-    // scans, so minimized masks stay a pure function of the search
-    // history that produced them.
-    const std::vector<std::pair<Bitset, Bitset>> &Witnesses =
-        Ctx.Deterministic ? UnitWrong : LocalLearned;
-    if (Ctx.Opts.ClauseMinimization) {
-      uint64_t Dropped = minimizeEntry(Mask, Value, Witnesses);
-      if (Dropped) {
-        ++Stats.ClausesMinimized;
-        Stats.LiteralsDropped += Dropped;
-      }
-      // Local subsumption: a witness with a subset mask agreeing on it
-      // already refutes everything this entry would — learn nothing.
-      unsigned Scans = 0;
-      for (size_t W = Witnesses.size();
-           W-- > 0 && Scans < MinimizeScanBudget;) {
-        ++Scans;
-        const std::pair<Bitset, Bitset> &E = Witnesses[W];
-        if (Mask.contains(E.first) && (Value & E.first) == E.second) {
-          ++Stats.SubsumedDropped;
-          return;
-        }
-      }
-    }
-
     if (Ctx.Opts.EarlyTermination)
-      (Ctx.Deterministic ? *UnitET : Ctx.ET)
-          .addMaskValueConstraint(Mask, Value);
-    if (Ctx.Deterministic) {
-      UnitWrong.push_back({std::move(Mask), std::move(Value)});
-    } else {
-      if (Ctx.Opts.ClauseMinimization)
-        LocalLearned.push_back({Mask, Value});
-      Ctx.addWrong(std::move(Mask), std::move(Value));
-    }
-  }
-
-  /// Conflict clause minimization by self-subsumption. The entry
-  /// (Mask, Value) refutes every configuration agreeing with Value on
-  /// Mask. For a mask bit b, the configurations agreeing with the entry
-  /// on Mask \ {b} split on b: the half agreeing at b is refuted by the
-  /// entry itself, and a witness (M2, V2) with M2 ⊆ Mask, b ∈ M2, and
-  /// V2 agreeing with Value on M2 everywhere except exactly at b
-  /// refutes the other half — so b resolves away and the shrunken
-  /// entry (Mask \ {b}, Value \ {b}) is sound, pruning strictly more.
-  /// Greedy over bits in ascending order, newest witnesses first,
-  /// bounded by a deterministic scan budget; never empties the value
-  /// part (learnCex's soundness guard). Returns the bits dropped.
-  uint64_t minimizeEntry(Bitset &Mask, Bitset &Value,
-                         const std::vector<std::pair<Bitset, Bitset>> &Ws) {
-    if (Ws.empty())
-      return 0;
-    uint64_t Dropped = 0;
-    unsigned Scans = 0;
-    Bitset Diff;
-    for (size_t B = 0; B != Mask.size(); ++B) {
-      if (Scans >= MinimizeScanBudget)
-        break;
-      if (!Mask.test(B))
-        continue;
-      if (Value.test(B) && Value.count() == 1)
-        continue; // The value part must stay nonempty.
-      for (size_t W = Ws.size(); W-- > 0 && Scans < MinimizeScanBudget;) {
-        ++Scans;
-        const std::pair<Bitset, Bitset> &E = Ws[W];
-        if (!E.first.test(B) || !Mask.contains(E.first))
-          continue;
-        Diff = Value;
-        Diff &= E.first;
-        Diff ^= E.second;
-        if (!Diff.test(B) || Diff.count() != 1)
-          continue;
-        Mask.reset(B);
-        Value.reset(B);
-        ++Dropped;
-        break;
-      }
-    }
-    return Dropped;
-  }
-
-  bool matchesUnitWrong(const Bitset &Bits) const {
-    return matchesAny(UnitWrong, Bits);
-  }
-
-  /// The conflict event: a claimed configuration proved refuted — by a
-  /// seed match, a W match, or a failed recheck. Refutedness is a
-  /// semantic fact about the configuration (independent of which of the
-  /// three settled it), so the event stream, and with it the activity
-  /// scores and restart points, is identical across checker backends
-  /// and across seeded/unseeded runs. Bumps the candidate's activity
-  /// and advances the Luby restart schedule.
-  void noteRefuted(unsigned I) {
-    if (Ctx.Opts.ActivityOrdering)
-      bumpActivity(I);
-    if (!RestartsOn || RestartPending)
-      return;
-    ++ConflictsSinceRestart;
-    if (ConflictsSinceRestart < sat::luby(RestartIdx) * DfsRestartBase)
-      return;
-    if (Ctx.Deterministic) {
-      // A restart replays the unit prefix through fresh rechecks;
-      // charge the account so restart-heavy units pay for their churn
-      // and the outcome stays a pure function of (job, budget).
-      if (!Account.canSpend())
-        return;
-      Account.charge();
-    }
-    RestartPending = true;
-  }
-
-  /// +1 per conflict event, everything halved every
-  /// ActivityDecayInterval bumps — the integer analogue of VSIDS decay,
-  /// kept exact so replays reproduce the scores bit-for-bit.
-  void bumpActivity(unsigned I) {
-    Activity[I] += 1;
-    TotalActivity += 1;
-    if (++BumpsSinceDecay < ActivityDecayInterval)
-      return;
-    BumpsSinceDecay = 0;
-    TotalActivity = 0;
-    for (uint64_t &A : Activity) {
-      A >>= 1;
-      TotalActivity += A;
-    }
-  }
-
-  /// Re-derives LocalOrder from the activity scores: hot candidates
-  /// first; ties (and the all-zero initial state) keep the base
-  /// additive-first order via the stable sort — the deterministic
-  /// tie-break. Called only at unit starts and restart points, so the
-  /// order is frozen across the DFS levels of one descent.
-  void resortLocalOrder() {
-    LocalOrder = Ctx.OpOrder;
-    std::stable_sort(LocalOrder.begin(), LocalOrder.end(),
-                     [this](unsigned A, unsigned B) {
-                       return Activity[A] > Activity[B];
-                     });
-  }
-
-  /// Releases a configuration claim during a restart unwind. Only ever
-  /// called where the claim container is private (the ctor's RestartsOn
-  /// gate): the unit-local table, or SeqVisited with its single owner.
-  void unclaim(const Bitset &B) {
-    if (Ctx.Deterministic)
-      UnitVisited.erase(B);
-    else
-      Ctx.SeqVisited.erase(B);
+      Prune->ET.addMaskValueConstraint(Mask, Value);
+    if (JournalLearned)
+      LearnedWrong.push_back({Mask, Value});
+    Prune->Wrong.add(std::move(Mask), std::move(Value));
   }
 
   /// A stop observed at a checkpoint ends this shard; classify why. A
@@ -1337,52 +1102,24 @@ private:
   unsigned FailuresSinceEtCheck = 0;
   static constexpr unsigned EtCheckInterval = 8;
 
+  /// The pruning state tryCandidate, learnCex, and the ET check consult:
+  /// the context's shared instance, or in budget mode UnitPrune.
+  PruneState *Prune;
+
   // Unit-scoped state (deterministic budget mode); reset by beginUnit.
   size_t CurrentUnit = 0;
+  /// Unlimited (never dry) outside budget mode.
   BudgetAccount Account;
   /// Abandon the current unit (quota dry) but keep the shard alive.
   bool UnitStop = false;
   /// The quota ran dry mid-subtree — distinct from finishing a unit
   /// with the quota exactly spent, which is a complete exploration.
   bool UnitTruncated = false;
-  FlatBitsetSet UnitVisited;
-  std::vector<std::pair<Bitset, Bitset>> UnitWrong;
-  /// Unit-local SAT layer (constructed per unit so its clause set is a
-  /// function of the unit alone); only engaged in deterministic mode.
-  std::optional<EarlyTermination> UnitET;
-
-  // Conflict-driven search state (activity ordering + restarts); see
-  // noteRefuted and the docs/ARCHITECTURE.md "Conflict-driven search"
-  // section.
-  /// The DFS candidate order, re-derived from activity at unit starts
-  /// and restart points; equals Ctx.OpOrder with the knob off.
-  std::vector<unsigned> LocalOrder;
-  /// Per-candidate conflict-participation scores (integer VSIDS).
-  std::vector<uint64_t> Activity;
-  uint64_t TotalActivity = 0;
-  unsigned BumpsSinceDecay = 0;
-  static constexpr unsigned ActivityDecayInterval = 256;
-  /// Restarts enabled for this shard (knob + mode gate; see the ctor).
-  bool RestartsOn = false;
-  /// Set by noteRefuted at a Luby point; dfs unwinds to the unit root,
-  /// un-claiming the abandoned path, and runUnits re-enters.
-  bool RestartPending = false;
-  uint64_t RestartIdx = 0;
-  uint64_t ConflictsSinceRestart = 0;
-  /// Conflicts before the first restart (Luby-scaled afterwards). A
-  /// restart re-pays the checker queries of the abandoned held path, so
-  /// the base is deliberately high: restarts reorder pathological
-  /// searches without taxing well-behaved ones.
-  static constexpr uint64_t DfsRestartBase = 2048;
-  /// Clause-minimization witness database outside deterministic mode
-  /// (which scans UnitWrong instead): this shard's own entries in learn
-  /// order. Shard-local on purpose — scanning the shared W would make
-  /// minimized masks depend on sibling timing.
-  std::vector<std::pair<Bitset, Bitset>> LocalLearned;
-  /// Witness entries examined per learnCex call, a hard deterministic
-  /// bound: minimization cost and results are a pure function of the
-  /// learn history, never of wall-clock or scheduling.
-  static constexpr unsigned MinimizeScanBudget = 4096;
+  /// This searcher's private, never-sharded pruning state; engaged only
+  /// in deterministic mode.
+  std::optional<PruneState> UnitPrune;
+  /// Whether learnCex journals entries into LearnedWrong.
+  bool JournalLearned = false;
 };
 
 /// Replays \p Seq from the initial configuration, snapshotting the table
@@ -1415,9 +1152,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   SynthResult Result;
   obs::TraceSpan SearchSpan("synth.search");
   SearchContext Ctx(Topo, Initial, Final, Classes, Phi, Opts);
-  Ctx.ET.setStopToken(Ctx.stopToken());
   Ctx.buildOps();
-  Ctx.Wrong.reset(Ctx.Ops.size());
   Ctx.SeedWrong.reset(Ctx.Ops.size());
 
   // A finite check budget engages deterministic mode: carve it into
@@ -1432,6 +1167,19 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   Ctx.Deterministic = Ctx.Ledger.limited();
   if (Ctx.Deterministic)
     Ctx.UnitCharges.resize(Ctx.OpOrder.size());
+
+  // Decide the mode before anything searches: the shard count selects
+  // the shared V representation, so it must be constant from the first
+  // probe on. Budget mode prunes against per-searcher instances, so only
+  // a sharded unlimited search needs the concurrent claim.
+  unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
+  Shards =
+      static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
+  if (!Opts.ShardCheckerFactory)
+    Shards = 1; // No way to build sibling checkers; degrade gracefully.
+  const bool Sharded = Shards > 1;
+  Ctx.Prune.reset(Ctx.Ops.size(), Sharded && !Ctx.Deterministic);
+  Ctx.Prune.ET.setStopToken(Ctx.stopToken());
 
   // Cross-job learning (support/ConstraintStore.h): import the wrong-set
   // entries earlier runs of this (scenario, granularity) published and
@@ -1455,33 +1203,17 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
       for (std::pair<Bitset, Bitset> &E :
            Opts.Learning->fetch(LearnKey, Ctx.Ops.size())) {
         if (Opts.EarlyTermination)
-          Ctx.ET.addMaskValueConstraint(E.first, E.second);
+          Ctx.Prune.ET.addMaskValueConstraint(E.first, E.second);
         Ctx.SeedWrong.add(std::move(E.first), std::move(E.second));
       }
     }
   }
 
-  // Decide the mode before anything searches: Sharded selects the
-  // concurrent pruning containers, so it must be constant from the
-  // first probe on.
-  unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
-  Shards =
-      static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
-  if (!Opts.ShardCheckerFactory)
-    Shards = 1; // No way to build sibling checkers; degrade gracefully.
-  Ctx.Sharded = Shards > 1;
-  // Budget mode claims in unit-local tables, so only a sharded
-  // unlimited search needs the shared claim.
-  Ctx.DirectClaim = Ctx.Sharded && !Ctx.Deterministic &&
-                    Ctx.Ops.size() <= ClaimBitmap::MaxBits;
-  if (Ctx.DirectClaim)
-    Ctx.ParClaims.reset(Ctx.Ops.size());
-
   // Work-stealing engages only where it is sound *and* useful: sharded
   // (someone to steal from) and non-deterministic (budget mode's
-  // unit-local V/W/quota state cannot be handed across shards without
-  // making the verdict depend on scheduling).
-  Ctx.Stealing = Ctx.Sharded && !Ctx.Deterministic && Opts.WorkStealing;
+  // unit-scoped pruning and quota state cannot be handed across shards
+  // without making the verdict depend on scheduling).
+  Ctx.Stealing = Sharded && !Ctx.Deterministic && Opts.WorkStealing;
   Ctx.StealDepthLimit = Opts.StealDepth;
   if (Ctx.Stealing) {
     Ctx.Deques.reserve(Shards);
@@ -1498,28 +1230,28 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   // SynthSeconds never includes command building or wait removal —
   // WaitRemovalSeconds measures the latter separately.
   double SearchSeconds = 0.0;
-  // Budget-mode learning export: extra shards move their unit-local
+  // Budget-mode learning export: extra shards move their journaled
   // entries here before their threads join (elsewhere the shared W
-  // containers already hold everything).
+  // already holds everything).
   std::vector<std::vector<std::pair<Bitset, Bitset>>> ShardLearned;
   auto Finish = [&](SynthStatus Status) {
     Primary.finalizeStats();
     Total.mergeFrom(Primary.Stats);
-    // Unit-local solvers folded their clause counts into shard stats
+    // Unit-scoped solvers folded their clause counts into shard stats
     // already (deterministic mode); the shared solver adds the rest.
-    Total.SatClauses += Ctx.ET.numClauses();
+    Total.SatClauses += Ctx.Prune.ET.numClauses();
     if (LearnOn) {
       // Publish what this run learned — every entry passed the learn-
       // time guard, and entries from interrupted or aborted runs are
       // just as sound (each stands on its own counterexample).
-      std::vector<std::pair<Bitset, Bitset>> Learned;
-      if (Ctx.Deterministic) {
-        Learned = std::move(Primary.LearnedWrong);
-        for (std::vector<std::pair<Bitset, Bitset>> &L : ShardLearned)
-          Learned.insert(Learned.end(), L.begin(), L.end());
-      } else {
-        Learned = Ctx.Wrong.snapshot();
-      }
+      // The shared W is empty in budget mode and the journals are
+      // empty elsewhere, so one concatenation serves both.
+      std::vector<std::pair<Bitset, Bitset>> Learned =
+          Ctx.Prune.Wrong.snapshot();
+      Learned.insert(Learned.end(), Primary.LearnedWrong.begin(),
+                     Primary.LearnedWrong.end());
+      for (std::vector<std::pair<Bitset, Bitset>> &L : ShardLearned)
+        Learned.insert(Learned.end(), L.begin(), L.end());
       Total.ImportedConstraints = Ctx.SeedWrong.size();
       size_t StoreDropped = 0;
       Total.ExportedConstraints = Opts.Learning->publish(
@@ -1563,7 +1295,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     return Result;
   }
   if (!Ctx.SeedWrong.empty() && Opts.EarlyTermination &&
-      Ctx.ET.impossible()) {
+      Ctx.Prune.ET.impossible()) {
     // The imported constraints alone are contradictory: no simple order
     // exists, proven before a single work unit ran. A reuse-off search
     // reaches the same verdict (by its own SAT proof or by exhaustion)

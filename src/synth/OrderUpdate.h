@@ -41,16 +41,18 @@
 /// Deterministic budgets: a finite check budget (MaxCheckCalls or
 /// UnitCheckCalls) switches the search into deterministic budget mode.
 /// The budget is carved into fixed per-work-unit quotas
-/// (support/Budget.h), each unit explores with unit-local pruning state,
-/// and the lowest-indexed successful unit supplies the result — so the
-/// verdict AND the returned sequence are a pure function of (job,
-/// budget), identical at every shard and worker count, Aborted verdicts
-/// included. TimeoutSeconds is only a soft wall-clock hint that fires
-/// between work units, never inside one; it is the single remaining
-/// source of timing dependence and is excluded from job digests
-/// (timeout-influenced runs are flagged Interrupted and never cached —
-/// unlike pure quota-exhaustion Aborts, which are deterministic and are
-/// replayed by the engine's result cache).
+/// (support/Budget.h), each unit explores with its own freshly reset
+/// pruning state, and the lowest-indexed successful unit supplies the
+/// result — so the verdict AND the returned sequence are a pure function
+/// of (job, budget), identical at every shard and worker count, Aborted
+/// verdicts included. A budgeted run that exhausts no unit returns
+/// exactly what the unlimited sequential search returns. TimeoutSeconds
+/// is only a soft wall-clock hint that fires between work units, never
+/// inside one; it is the single remaining source of timing dependence
+/// and is excluded from job digests (timeout-influenced runs are flagged
+/// Interrupted and never cached — unlike pure quota-exhaustion Aborts,
+/// which are deterministic and are replayed by the engine's result
+/// cache).
 ///
 /// Cross-job learning: with SynthOptions::Learning set, the search seeds
 /// its W set and SAT layer from the ConstraintStore before exploring and
@@ -86,42 +88,6 @@ struct SynthOptions {
   bool EarlyTermination = true;
   bool WaitRemoval = true;
   bool RuleGranularity = false;
-  /// Conflict clause minimization: every learned (mask, value)
-  /// refutation is greedily shrunk to a smaller still-refuted core by
-  /// resolving it against previously learned entries (self-subsumption;
-  /// checker-free, each dropped mask bit is justified by a witness
-  /// entry covering the opposite value of that bit). Smaller masks
-  /// refute strictly more configurations, so the W set prunes more per
-  /// entry and exported clauses seed later runs harder. The witness
-  /// scan is bounded by a fixed deterministic budget per learned entry,
-  /// so in budget mode the minimized clause — and hence the charge
-  /// sequence — stays a pure function of (job, budget). Because
-  /// minimization can change *which* configurations are pruned (and so
-  /// the budget-mode charge order), this knob is semantic and part of
-  /// digestOf(SynthJob).
-  bool ClauseMinimization = true;
-  /// Activity-based candidate ordering: VSIDS-like per-command activity
-  /// scores, bumped when a command participates in a conflict (its
-  /// candidate failed after claiming a configuration) and periodically
-  /// halved. Each shard re-sorts its DFS candidate order by activity at
-  /// unit boundaries and restart points only — never mid-unit — with
-  /// ties broken by the base deterministic order, so the order is a
-  /// pure function of the unit's own conflict history. In budget mode
-  /// activity state is unit-local (reset per unit), keeping verdict and
-  /// sequence a pure function of (job, budget); semantic, part of
-  /// digestOf(SynthJob).
-  bool ActivityOrdering = true;
-  /// Deterministic Luby restarts: after luby(k)*RestartBase conflicts a
-  /// unit unwinds its DFS (un-claiming the abandoned path but keeping
-  /// every learned clause, SAT constraint, and settled subtree claim)
-  /// and re-enters with an activity-resorted candidate order. Active in
-  /// sequential and deterministic-budget searches; sharded unlimited
-  /// searches skip restarts (the shared claim map makes un-claiming
-  /// racy, and stealing already repairs imbalance there). Each restart
-  /// charges one unit of the check budget in budget mode, so the
-  /// schedule is finite and reproducible; semantic, part of
-  /// digestOf(SynthJob).
-  bool Restarts = true;
   /// Hard logical budget (0 = unlimited): the total number of charged
   /// check calls the search may spend, carved deterministically into
   /// per-work-unit quotas (earlier units receive the remainder, every
@@ -241,16 +207,10 @@ struct SynthStats {
   /// shard (work-stealing; always zero in deterministic budget mode and
   /// in sequential runs). Each stolen task costs one extra bind query.
   uint64_t StolenTasks = 0;
-  /// Conflict-driven search accounting (synth/OrderUpdate.cpp; all zero
-  /// with the corresponding knobs off): learned refutations whose mask
-  /// was shrunk by clause minimization, total mask bits dropped across
-  /// those, Luby restarts executed, and learned entries discarded
-  /// because an existing entry with a subset mask already subsumed them
-  /// (ConstraintStore insert-time subsumption plus the searcher's local
-  /// duplicate filter).
-  uint64_t ClausesMinimized = 0;
-  uint64_t LiteralsDropped = 0;
-  uint64_t Restarts = 0;
+  /// Wrong-set entries the ConstraintStore's insert-time subsumption
+  /// discarded when this run published (zero when SynthOptions::Learning
+  /// is unset): incoming entries an existing subset-mask entry already
+  /// subsumed, plus stored entries an incoming one evicted.
   uint64_t SubsumedDropped = 0;
   /// Portfolio members the engine skipped because their (scenario,
   /// granularity) learning key already held an up-front UNSAT proof
@@ -306,9 +266,6 @@ struct SynthStats {
     ExportedConstraints += S.ExportedConstraints;
     SeededPrunes += S.SeededPrunes;
     StolenTasks += S.StolenTasks;
-    ClausesMinimized += S.ClausesMinimized;
-    LiteralsDropped += S.LiteralsDropped;
-    Restarts += S.Restarts;
     SubsumedDropped += S.SubsumedDropped;
     ShedMembers += S.ShedMembers;
     HitBudget |= S.HitBudget;

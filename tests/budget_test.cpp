@@ -10,8 +10,10 @@
 /// search's deterministic budget mode): ledger carving, inclusive
 /// exactly-N boundary semantics, the determinism matrix (byte-identical
 /// verdicts and sequences across shard and worker counts, budget-Aborted
-/// cases included), the soft wall-clock hint, the update-independent
-/// counterexample guard, the Found-vs-budget abort classification, and
+/// cases included), the equality of a budgeted run that exhausted no
+/// unit with the unlimited sequential run, the soft wall-clock hint, the
+/// update-independent counterexample guard, the Found-vs-budget abort
+/// classification, and
 /// the engine's abort-caching contract across all of its Aborted-writing
 /// paths: pure quota-exhaustion aborts are deterministic and ARE cached,
 /// while every timing-shaped abort (wall expiry, cancellation, shutdown)
@@ -294,6 +296,69 @@ TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
   EXPECT_EQ(Reference[0].Status, SynthStatus::Success);
   EXPECT_EQ(Reference[3].Status, SynthStatus::Impossible)
       << "a generous budget must still complete the impossibility proof";
+}
+
+// --- Completed budget runs equal the unlimited sequential run ---------------
+
+namespace {
+
+/// One direct synthesizeUpdate run on the incremental backend, sharded
+/// when \p Shards > 1, with wait removal off so sequences byte-compare.
+SynthResult runIncremental(const Scenario &S, bool RuleGran,
+                           uint64_t UnitQuota, unsigned Shards) {
+  std::unique_ptr<CheckerBackend> Checker =
+      BackendFactory::instance().create("incremental", S);
+  FormulaFactory FF;
+  SynthOptions Opts;
+  Opts.RuleGranularity = RuleGran;
+  Opts.WaitRemoval = false;
+  Opts.UnitCheckCalls = UnitQuota;
+  Opts.Shards = Shards;
+  Opts.ShardCheckerFactory = [&S]() {
+    return BackendFactory::instance().create("incremental", S);
+  };
+  return synthesizeUpdate(S, FF, *Checker, Opts);
+}
+
+} // namespace
+
+// A budgeted run prunes against unit-scoped state, the unlimited one
+// against state shared across units; the unit-scoped search only
+// re-explores subtrees the shared state skips, none of which holds the
+// first success. So a budgeted run that exhausted no unit must return
+// the unlimited sequential verdict and exact bytes, at every quota and
+// shard count.
+TEST(BudgetCompletionTest, UnexhaustedRunEqualsUnlimitedSequential) {
+  const Scenario Scenarios[] = {diamondWithUpdates(2000, 4),
+                                diamondWithUpdates(3000, 5),
+                                doubleDiamond(9)};
+  unsigned GenerousCompared = 0, TightCompared = 0;
+  for (const Scenario &S : Scenarios) {
+    for (bool RuleGran : {false, true}) {
+      SynthResult Ref = runIncremental(S, RuleGran, 0, 1);
+      std::string RefCmds = commandSeqToString(S.Topo, Ref.Commands);
+      for (uint64_t Quota : {uint64_t(3), uint64_t(20), uint64_t(1) << 30}) {
+        for (unsigned Shards : {1u, 4u}) {
+          SynthResult R = runIncremental(S, RuleGran, Quota, Shards);
+          if (R.Stats.ExhaustedUnits != 0)
+            continue;
+          GenerousCompared += Quota == uint64_t(1) << 30;
+          TightCompared += Quota == 20;
+          EXPECT_EQ(R.Status, Ref.Status)
+              << "rule=" << RuleGran << " quota=" << Quota
+              << " shards=" << Shards;
+          EXPECT_EQ(commandSeqToString(S.Topo, R.Commands), RefCmds)
+              << "rule=" << RuleGran << " quota=" << Quota
+              << " shards=" << Shards;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(GenerousCompared, 12u)
+      << "a 2^30 unit quota must never run dry on these instances";
+  EXPECT_GT(TightCompared, 0u)
+      << "no tight-quota run completed: the check compares only runs "
+         "that never come near their budget";
 }
 
 // --- Soft wall hint ---------------------------------------------------------

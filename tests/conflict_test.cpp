@@ -1,4 +1,4 @@
-//===- tests/conflict_test.cpp - conflict-driven search tests --*- C++ -*-===//
+//===- tests/conflict_test.cpp - proof shedding and subsumption -*- C++ -*-===//
 //
 // Part of the netupd project, reproducing "Efficient Synthesis of Network
 // Updates" (McClurg et al., PLDI 2015).
@@ -6,28 +6,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Tests for the conflict-driven learning layer (synth/OrderUpdate.cpp):
-/// clause minimization, activity-based candidate ordering, deterministic
-/// Luby restarts, and the learning-aware portfolio shed. The contracts:
+/// Tests for what the search keeps of its learned refutations across
+/// runs and shards: portfolio proof shedding, ConstraintStore insert-time
+/// subsumption, and budget purity. The contracts:
 ///
-///  - the knobs never change a verdict, at any backend, shard count, or
-///    budget — they reorder and shrink the search, nothing else;
-///  - ClauseMinimization additionally never changes a *sequence*:
-///    minimization is sound resolution over already-refuted entries, so
-///    the refuted candidate set, conflict order, activity bumps, and
-///    restart points are identical with it on or off, and sequential
-///    runs compare byte for byte;
-///  - minimized clauses still refute — a store seeded by a minimizing
-///    run reproduces the reference verdict and (sequentially) the
-///    byte-identical sequence, and accelerates an Impossible re-proof;
-///  - restarts are deterministic: two sequential runs of a deep
-///    exhaustive proof agree on every conflict counter and restart
-///    count, not just the verdict;
-///  - the shed consumes up-front UNSAT proofs only for members that
-///    opted into conflict-driven learning; knob-off members run the
-///    full standalone search (and still publish what they learn);
+///  - the SAT layer restarts on the pinned Luby schedule (sat::luby);
 ///  - ConstraintStore insert-time subsumption keeps only the frontier
-///    of strongest refutations and counts both drop directions.
+///    of strongest refutations and counts both drop directions;
+///  - budget mode is a pure function of (job, budget): byte-identical
+///    across shard counts, BudgetSpent included, and a completing
+///    budget run agrees with the unlimited verdict;
+///  - learned clauses still refute — a store seeded by an earlier run
+///    reproduces the reference verdict and (sequentially) the
+///    byte-identical sequence, and accelerates an Impossible re-proof;
+///  - the shed consumes up-front UNSAT proofs only for members whose
+///    standalone run is sure to complete; budgeted or timed members run
+///    the full search (and still publish what they learn).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,11 +75,10 @@ Scenario doubleDiamond(uint64_t Seed) {
 /// A deep exhaustive Impossible proof, the bench/engine_scaling.cpp
 /// "deep-proof" recipe at a test-sized diff cap: a long-path diamond
 /// whose final config blackholes the destination, so the search must
-/// refute the entire safe sub-lattice — thousands of conflicts, enough
-/// to cross the Luby restart base and to give clause minimization
-/// sibling entries to resolve against. \p Skip selects among the
-/// instances the seed grows; the tests use Skip=1, whose lattice both
-/// restarts and minimizes within a few thousand checker queries.
+/// refute the entire safe sub-lattice — thousands of counterexamples to
+/// learn from. \p Skip selects among the instances the seed grows; the
+/// tests use Skip=1, whose lattice is refuted within a few thousand
+/// checker queries.
 Scenario deepImpossible(unsigned Skip = 0) {
   constexpr unsigned DiffCap = 22;
   Rng SR(23);
@@ -129,7 +122,7 @@ struct RunResult {
 /// Runs one single-member job on a fresh 1-worker engine with the result
 /// cache off (the search layer, not replay, is under test). \p Store
 /// null means SharedLearning off. \p Tweak adjusts the member's
-/// SynthOptions (the conflict knobs, budgets, shards).
+/// SynthOptions (budgets, timeouts, the SAT layer).
 RunResult runOnce(const Scenario &S, const std::string &Backend,
                   unsigned Shards,
                   const std::shared_ptr<ConstraintStore> &Store,
@@ -161,16 +154,6 @@ RunResult runOnce(const Scenario &S, const std::string &Backend,
   return Out;
 }
 
-/// Replay-checks a successful sequence (the validity notion the knobs
-/// that may legally reorder the search are held to).
-void expectValidSequence(const Scenario &S, const CommandSeq &Cmds) {
-  FormulaFactory FF;
-  Formula Phi = S.buildProperty(FF);
-  EXPECT_TRUE(
-      allIntermediateConfigsHold(S.Topo, S.Initial, S.classes(), Phi, Cmds))
-      << "a conflict knob produced an unsafe sequence";
-}
-
 Bitset bits(size_t N, std::initializer_list<unsigned> Set) {
   Bitset B(N);
   for (unsigned I : Set)
@@ -178,30 +161,12 @@ Bitset bits(size_t N, std::initializer_list<unsigned> Set) {
   return B;
 }
 
-/// The three conflict knobs as a test vector.
-struct Knobs {
-  const char *Name;
-  bool Min, Act, Rst;
-};
-
-void applyKnobs(SynthOptions &O, const Knobs &K) {
-  O.ClauseMinimization = K.Min;
-  O.ActivityOrdering = K.Act;
-  O.Restarts = K.Rst;
-}
-
-constexpr Knobs SingleOff[] = {
-    {"min-off", false, true, true},
-    {"act-off", true, false, true},
-    {"rst-off", true, true, false},
-};
-
 } // namespace
 
 // --- The restart cadence ----------------------------------------------------
 
-// The DFS restarts on the same Luby schedule as the SAT solver; pin the
-// shared sequence (0-based, as sat::luby documents).
+// The SAT layer's solver restarts on the Luby schedule; pin the sequence
+// (0-based, as sat::luby documents).
 TEST(ConflictLubyTest, SequencePin) {
   const uint64_t Expect[] = {1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8};
   for (size_t I = 0; I != std::size(Expect); ++I)
@@ -230,7 +195,7 @@ TEST(ConflictStoreTest, InsertTimeSubsumptionKeepsOnlyTheFrontier) {
   ConstraintStore Store;
   Digest Key = ConstraintStore::keyFor(Digest{11, 11}, false);
 
-  // A fat ancestor, then the minimized core carved from it: the core
+  // A fat ancestor, then a smaller core of it: the core
   // evicts the ancestor (reverse subsumption), and the drop is counted.
   size_t Dropped = 0;
   EXPECT_EQ(Store.publish(Key, 6, {{bits(6, {1, 2, 3}), bits(6, {1, 2})}},
@@ -240,7 +205,7 @@ TEST(ConflictStoreTest, InsertTimeSubsumptionKeepsOnlyTheFrontier) {
   EXPECT_EQ(Store.publish(Key, 6, {{bits(6, {1, 3}), bits(6, {1})}},
                           &Dropped),
             1u);
-  EXPECT_EQ(Dropped, 1u) << "the minimized core must evict its ancestor";
+  EXPECT_EQ(Dropped, 1u) << "the smaller core must evict its ancestor";
   std::vector<ConstraintStore::Entry> Frontier = Store.fetch(Key, 6);
   ASSERT_EQ(Frontier.size(), 1u);
   EXPECT_EQ(Frontier[0].first, bits(6, {1, 3}));
@@ -264,151 +229,56 @@ TEST(ConflictStoreTest, InsertTimeSubsumptionKeepsOnlyTheFrontier) {
   EXPECT_EQ(Store.fetch(Key, 6).size(), 2u);
 }
 
-// --- Invariance matrix ------------------------------------------------------
+// --- Budget purity ---------------------------------------------------------
 
-// For every registered backend (the memoizing decorator included) and
-// shard count, switching any one conflict knob off reproduces the
-// all-on verdict; ClauseMinimization off additionally reproduces the
-// byte-identical sequential sequence (minimization never changes which
-// candidates get refuted, only how the refutations generalize).
-TEST(ConflictInvarianceTest, FeasibleKnobMatrixAcrossBackendRegistry) {
-  Scenario Feas = diamondWithUpdates(9000, 4);
-  std::vector<std::string> Backends = BackendFactory::instance().names();
-  Backends.push_back("memo:incremental");
-  for (const std::string &Backend : Backends) {
-    for (unsigned Shards : {1u, 4u}) {
-      RunResult Ref = runOnce(Feas, Backend, Shards, nullptr);
-      EXPECT_EQ(Ref.Status, SynthStatus::Success) << Backend;
-      for (const Knobs &K : SingleOff) {
-        RunResult Off = runOnce(Feas, Backend, Shards, nullptr,
-                                [&K](SynthOptions &O) { applyKnobs(O, K); });
-        EXPECT_EQ(Off.Status, Ref.Status)
-            << Backend << " shards=" << Shards << " " << K.Name
-            << ": a conflict knob changed the verdict";
-        if (!K.Min && Shards == 1) {
-          EXPECT_EQ(Off.Rendered, Ref.Rendered)
-              << Backend << ": minimization moved the sequential sequence";
-        } else if (Off.Status == SynthStatus::Success) {
-          expectValidSequence(Feas, Off.Commands);
-        }
-      }
-    }
-  }
-}
-
-// Infeasibility is knob-independent at every setting, and the empty
-// sequence makes every comparison byte-exact.
-TEST(ConflictInvarianceTest, InfeasibleVerdictsSurviveEveryKnob) {
-  Scenario Inf = doubleDiamond(9);
-  const Knobs AllOff{"all-off", false, false, false};
-  for (const char *Backend : {"incremental", "batch"}) {
-    for (unsigned Shards : {1u, 4u}) {
-      RunResult Ref = runOnce(Inf, Backend, Shards, nullptr);
-      EXPECT_EQ(Ref.Status, SynthStatus::Impossible) << Backend;
-      for (const Knobs *K : {&SingleOff[0], &SingleOff[1], &SingleOff[2],
-                             &AllOff}) {
-        RunResult Off = runOnce(Inf, Backend, Shards, nullptr,
-                                [K](SynthOptions &O) { applyKnobs(O, *K); });
-        EXPECT_EQ(Off.Status, Ref.Status)
-            << Backend << " shards=" << Shards << " " << K->Name;
-        EXPECT_EQ(Off.Rendered, Ref.Rendered);
-      }
-    }
-  }
-}
-
-// Budget mode: at a fixed knob setting the outcome is a pure function
-// of (job, budget) — byte-identical across shard counts, restart
-// charges included — and a completing budget cell agrees with the
-// unlimited verdict. Knob-off budget cells form their own purity group
-// (the knobs are semantic, so they are never compared byte-for-byte to
-// the knob-on budget reference — the contract the fuzzer's cell matrix
-// holds at scale).
-TEST(ConflictInvarianceTest, BudgetPurityPerKnobSettingAcrossShards) {
+// Budget mode: the outcome is a pure function of (job, budget) —
+// byte-identical across shard counts, BudgetSpent included — and a
+// completing budget cell agrees with the unlimited verdict (the
+// contract the fuzzer's cell matrix holds at scale).
+TEST(ConflictInvarianceTest, BudgetPurityAcrossShards) {
   Scenario Feas = diamondWithUpdates(9000, 4);
   RunResult Unlimited = runOnce(Feas, "incremental", 1, nullptr);
   ASSERT_EQ(Unlimited.Status, SynthStatus::Success);
-  const Knobs Settings[] = {{"all-on", true, true, true},
-                            {"all-off", false, false, false}};
-  for (const Knobs &K : Settings) {
-    for (uint64_t Unit : {uint64_t(2), uint64_t(100000)}) {
-      auto Tweak = [&K, Unit](SynthOptions &O) {
-        applyKnobs(O, K);
-        O.UnitCheckCalls = Unit;
-      };
-      RunResult Seq = runOnce(Feas, "incremental", 1, nullptr, Tweak);
-      RunResult Sharded = runOnce(Feas, "incremental", 4, nullptr, Tweak);
-      EXPECT_EQ(Sharded.Status, Seq.Status)
-          << K.Name << " unit=" << Unit
-          << ": a budgeted verdict depended on the shard count";
-      EXPECT_EQ(Sharded.Rendered, Seq.Rendered) << K.Name << " unit=" << Unit;
-      EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
-          << K.Name << " unit=" << Unit;
-      if (Seq.Status != SynthStatus::Aborted) {
-        EXPECT_EQ(Seq.Status, Unlimited.Status)
-            << K.Name << " unit=" << Unit
-            << ": a completing budget cell drifted from the unlimited verdict";
-      }
+  for (uint64_t Unit : {uint64_t(2), uint64_t(100000)}) {
+    auto Tweak = [Unit](SynthOptions &O) { O.UnitCheckCalls = Unit; };
+    RunResult Seq = runOnce(Feas, "incremental", 1, nullptr, Tweak);
+    RunResult Sharded = runOnce(Feas, "incremental", 4, nullptr, Tweak);
+    EXPECT_EQ(Sharded.Status, Seq.Status)
+        << "unit=" << Unit
+        << ": a budgeted verdict depended on the shard count";
+    EXPECT_EQ(Sharded.Rendered, Seq.Rendered) << "unit=" << Unit;
+    EXPECT_EQ(Sharded.Stats.BudgetSpent, Seq.Stats.BudgetSpent)
+        << "unit=" << Unit;
+    if (Seq.Status != SynthStatus::Aborted) {
+      EXPECT_EQ(Seq.Status, Unlimited.Status)
+          << "unit=" << Unit
+          << ": a completing budget cell drifted from the unlimited verdict";
     }
   }
 }
 
-// --- Restart determinism ----------------------------------------------------
+// --- Learned clauses still refute -------------------------------------------
 
-// A deep exhaustive proof crosses the Luby base: restarts actually fire,
-// clause minimization actually shrinks masks, and two sequential runs
-// agree on every conflict counter — the restart schedule is a pure
-// function of the search, not of timing.
-TEST(ConflictRestartTest, RestartsFireAndReplayDeterministically) {
-  Scenario Deep = deepImpossible(1);
-  auto NoEt = [](SynthOptions &O) { O.EarlyTermination = false; };
-  RunResult A = runOnce(Deep, "incremental", 1, nullptr, NoEt);
-  RunResult B = runOnce(Deep, "incremental", 1, nullptr, NoEt);
-  ASSERT_EQ(A.Status, SynthStatus::Impossible);
-  EXPECT_GT(A.Stats.Restarts, 0u) << "the deep proof never restarted — the "
-                                     "instance no longer crosses the base";
-  EXPECT_GT(A.Stats.ClausesMinimized, 0u);
-  EXPECT_GT(A.Stats.LiteralsDropped, 0u);
-  EXPECT_EQ(B.Status, A.Status);
-  EXPECT_EQ(B.Rendered, A.Rendered);
-  EXPECT_EQ(B.Stats.CheckCalls, A.Stats.CheckCalls);
-  EXPECT_EQ(B.Stats.Restarts, A.Stats.Restarts);
-  EXPECT_EQ(B.Stats.ClausesMinimized, A.Stats.ClausesMinimized);
-  EXPECT_EQ(B.Stats.LiteralsDropped, A.Stats.LiteralsDropped);
-
-  // Restarts off: same verdict, zero restarts charged or counted.
-  RunResult Off = runOnce(Deep, "incremental", 1, nullptr,
-                          [&](SynthOptions &O) {
-                            NoEt(O);
-                            O.Restarts = false;
-                          });
-  EXPECT_EQ(Off.Status, A.Status);
-  EXPECT_EQ(Off.Stats.Restarts, 0u);
-}
-
-// --- Minimized clauses still refute -----------------------------------------
-
-// Soundness end to end: a store populated by a minimizing run seeds a
-// later run without changing one byte of a feasible sequential result
-// (an over-generalized mask would prune a correct order), and a deep
-// Impossible re-proof from minimized clauses is both correct and
-// cheaper than the original derivation.
-TEST(ConflictSoundnessTest, MinimizedClausesStillRefute) {
+// Soundness end to end: a store populated by one run seeds a later run
+// without changing one byte of a feasible sequential result (an
+// over-generalized mask would prune a correct order), and a deep
+// Impossible re-proof from stored clauses is both correct and cheaper
+// than the original derivation.
+TEST(ConflictSoundnessTest, LearnedClausesStillRefute) {
   Scenario Feas = diamondWithUpdates(9000, 4);
   RunResult Ref = runOnce(Feas, "incremental", 1, nullptr);
   auto Store = std::make_shared<ConstraintStore>();
-  runOnce(Feas, "incremental", 1, Store); // Populates (minimizing).
+  runOnce(Feas, "incremental", 1, Store); // Populates.
   RunResult Seeded = runOnce(Feas, "incremental", 1, Store);
   EXPECT_EQ(Seeded.Status, Ref.Status);
   EXPECT_EQ(Seeded.Rendered, Ref.Rendered)
-      << "seeding with minimized clauses changed the sequential sequence";
+      << "seeding with learned clauses changed the sequential sequence";
 
   Scenario Deep = deepImpossible(1);
   auto DeepStore = std::make_shared<ConstraintStore>();
   auto NoEt = [](SynthOptions &O) { O.EarlyTermination = false; };
   RunResult P1 = runOnce(Deep, "incremental", 1, DeepStore, NoEt);
   ASSERT_EQ(P1.Status, SynthStatus::Impossible);
-  ASSERT_GT(P1.Stats.ClausesMinimized, 0u);
   ASSERT_GT(P1.Stats.ExportedConstraints, 0u);
   // Timed: the soft wall hint (never firing) makes the member
   // non-sheddable, so this exercises the seeded search rather than the
@@ -419,7 +289,7 @@ TEST(ConflictSoundnessTest, MinimizedClausesStillRefute) {
                            O.TimeoutSeconds = 3600.0;
                          });
   EXPECT_EQ(P2.Status, SynthStatus::Impossible)
-      << "minimized clauses failed to re-prove the instance";
+      << "stored clauses failed to re-prove the instance";
   EXPECT_GT(P2.Stats.ImportedConstraints, 0u);
   EXPECT_LT(P2.Stats.CheckCalls, P1.Stats.CheckCalls)
       << "the seeded re-proof should be cheaper than the derivation";
@@ -427,15 +297,15 @@ TEST(ConflictSoundnessTest, MinimizedClausesStillRefute) {
 
 // --- Learning-aware shed ----------------------------------------------------
 
-// The shed consumes up-front UNSAT proofs only for members that opted
-// into conflict-driven learning: a ClauseMinimization-off member runs
-// the full standalone search (that is what the knob comparison
-// measures) — but its own proof still publishes, so later opted-in
-// members shed on it.
-TEST(ConflictShedTest, KnobOffMembersRunFullButStillPublish) {
+// The shed answers a member from a stored up-front UNSAT proof only when
+// its standalone run is sure to complete: a budgeted member (a quota
+// could report Aborted) or a timed one (a soft wall could interrupt)
+// runs the full search even with the proof in the store — but its own
+// proof still publishes, so a later default member sheds on it.
+TEST(ConflictShedTest, UnsheddableMembersRunFullButStillPublish) {
   Scenario Inf = doubleDiamond(9);
 
-  // Proof published by a default (opted-in) run.
+  // Proof published by a default run; a default repeat sheds on it.
   auto Store = std::make_shared<ConstraintStore>();
   RunResult First = runOnce(Inf, "incremental", 1, Store);
   ASSERT_EQ(First.Status, SynthStatus::Impossible);
@@ -446,30 +316,35 @@ TEST(ConflictShedTest, KnobOffMembersRunFullButStillPublish) {
   EXPECT_EQ(Shed.Stats.ShedMembers, 1u);
   EXPECT_EQ(Shed.Stats.CheckCalls, 0u);
 
-  RunResult MinOff =
-      runOnce(Inf, "incremental", 1, Store,
-              [](SynthOptions &O) { O.ClauseMinimization = false; });
-  EXPECT_EQ(MinOff.Status, SynthStatus::Impossible)
-      << "the shed gate must never change a verdict";
-  EXPECT_EQ(MinOff.Stats.ShedMembers, 0u)
-      << "a knob-off member consumed a proof it opted out of";
-  EXPECT_GT(MinOff.Stats.CheckCalls, 0u)
-      << "a knob-off member must pay for its own search";
+  struct Unsheddable {
+    const char *Name;
+    std::function<void(SynthOptions &)> Tweak;
+  };
+  const Unsheddable Members[] = {
+      {"budgeted", [](SynthOptions &O) { O.UnitCheckCalls = 100000; }},
+      {"timed", [](SynthOptions &O) { O.TimeoutSeconds = 3600.0; }},
+  };
+  for (const Unsheddable &U : Members) {
+    RunResult Full = runOnce(Inf, "incremental", 1, Store, U.Tweak);
+    EXPECT_EQ(Full.Status, SynthStatus::Impossible)
+        << U.Name << ": the shed gate must never change a verdict";
+    EXPECT_EQ(Full.Stats.ShedMembers, 0u)
+        << U.Name << " member consumed a proof its own run might not reach";
+    EXPECT_GT(Full.Stats.CheckCalls, 0u)
+        << U.Name << " member must pay for its own search";
 
-  // The reverse direction: a knob-off run's proof feeds later opted-in
-  // members.
-  auto Fresh = std::make_shared<ConstraintStore>();
-  RunResult OffFirst =
-      runOnce(Inf, "incremental", 1, Fresh,
-              [](SynthOptions &O) { O.ClauseMinimization = false; });
-  ASSERT_EQ(OffFirst.Status, SynthStatus::Impossible);
-  EXPECT_EQ(OffFirst.Stats.ShedMembers, 0u);
-  EXPECT_GT(OffFirst.Stats.ExportedConstraints, 0u)
-      << "knob-off members must still publish what they learned";
-  RunResult OnSecond = runOnce(Inf, "incremental", 1, Fresh);
-  EXPECT_EQ(OnSecond.Status, SynthStatus::Impossible);
-  EXPECT_EQ(OnSecond.Stats.ShedMembers, 1u)
-      << "an opted-in member should shed on the knob-off member's proof";
-  EXPECT_EQ(OnSecond.Stats.CheckCalls, 0u);
+    // The reverse direction: its proof feeds later default members.
+    auto Fresh = std::make_shared<ConstraintStore>();
+    RunResult UFirst = runOnce(Inf, "incremental", 1, Fresh, U.Tweak);
+    ASSERT_EQ(UFirst.Status, SynthStatus::Impossible) << U.Name;
+    EXPECT_EQ(UFirst.Stats.ShedMembers, 0u) << U.Name;
+    EXPECT_GT(UFirst.Stats.ExportedConstraints, 0u)
+        << U.Name << " members must still publish what they learned";
+    RunResult Second = runOnce(Inf, "incremental", 1, Fresh);
+    EXPECT_EQ(Second.Status, SynthStatus::Impossible) << U.Name;
+    EXPECT_EQ(Second.Stats.ShedMembers, 1u)
+        << "a default member should shed on the " << U.Name
+        << " member's proof";
+    EXPECT_EQ(Second.Stats.CheckCalls, 0u) << U.Name;
+  }
 }
-
