@@ -27,17 +27,35 @@
 namespace netupd {
 namespace benchutil {
 
-/// Parses the scale factor from argv/environment; 1 = default sizes.
+/// Parses one scale value; exits with status 2 and a usage message
+/// unless \p Text is a whole positive finite number. A silently ignored
+/// typo would turn a shrunk CI run into a full-size one.
+inline double parseScaleValue(const char *Text, const char *Source) {
+  char *End = nullptr;
+  double Scale = std::strtod(Text, &End);
+  if (End == Text || *End != '\0' || !std::isfinite(Scale) || Scale <= 0) {
+    std::fprintf(stderr,
+                 "error: %s: invalid scale '%s'\n"
+                 "usage: --scale=N or NETUPD_BENCH_SCALE=N, N a positive "
+                 "number (1 = default sizes)\n",
+                 Source, Text);
+    std::exit(2);
+  }
+  return Scale;
+}
+
+/// Parses the scale factor from argv/environment; 1 = default sizes. An
+/// argument overrides the environment; invalid values exit (see above).
 inline double parseScale(int Argc, char **Argv) {
   double Scale = 1.0;
   if (const char *Env = std::getenv("NETUPD_BENCH_SCALE"))
-    Scale = std::atof(Env);
+    Scale = parseScaleValue(Env, "NETUPD_BENCH_SCALE");
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg.rfind("--scale=", 0) == 0)
-      Scale = std::atof(Arg.c_str() + 8);
+      Scale = parseScaleValue(Arg.c_str() + 8, "--scale");
   }
-  return Scale > 0 ? Scale : 1.0;
+  return Scale;
 }
 
 /// Prints a header banner naming the reproduced figure.

@@ -201,7 +201,6 @@ struct ShardPoint {
   double JobsPerSec = 0.0;
   double Speedup = 1.0;
   uint64_t TotalQueries = 0;
-  uint64_t StolenTasks = 0;
   unsigned Succeeded = 0;
   JobPercentiles Pct;
 };
@@ -388,13 +387,11 @@ void writeJson(double Scale, double SweepScale, double ShardScale,
     std::fprintf(F,
                  "    {\"shards\": %u, \"wall_seconds\": %.6f, "
                  "\"jobs_per_sec\": %.3f, \"speedup\": %.3f, "
-                 "\"total_queries\": %llu, \"stolen_tasks\": %llu, "
-                 "\"succeeded\": %u, "
+                 "\"total_queries\": %llu, \"succeeded\": %u, "
                  "\"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f}%s\n",
                  P.Shards, P.WallSeconds, P.JobsPerSec, P.Speedup,
-                 static_cast<unsigned long long>(P.TotalQueries),
-                 static_cast<unsigned long long>(P.StolenTasks),
-                 P.Succeeded, P.Pct.P50Ms, P.Pct.P95Ms, P.Pct.P99Ms,
+                 static_cast<unsigned long long>(P.TotalQueries), P.Succeeded,
+                 P.Pct.P50Ms, P.Pct.P95Ms, P.Pct.P99Ms,
                  I + 1 == ShardRuns.size() ? "" : ",");
   }
   std::fprintf(F, "  ],\n");
@@ -763,8 +760,7 @@ int main(int Argc, char **Argv) {
   std::printf("batch: %zu deep exhaustive proofs (diff capped at %u, "
               "section scale %g)\n",
               ShardJobs.size(), DiffCap, ShardScale);
-  row({"shards", "wall(s)", "speedup", "prf", "queries", "stolen"},
-      {9, 10, 9, 7, 10, 8});
+  row({"shards", "wall(s)", "speedup", "prf", "queries"}, {9, 10, 9, 7, 10});
   std::vector<ShardPoint> ShardRuns;
   double ShardBaseSeconds = 0.0;
   std::vector<SynthStatus> ShardBaseVerdicts;
@@ -798,7 +794,6 @@ int main(int Argc, char **Argv) {
     P.Speedup = Rep.WallSeconds > 0 ? ShardBaseSeconds / Rep.WallSeconds
                                     : 1.0;
     P.TotalQueries = Rep.TotalQueries;
-    P.StolenTasks = Rep.Merged.StolenTasks;
     P.Succeeded = Rep.numSucceeded();
     P.Pct = jobPercentiles(Rep);
     ShardRuns.push_back(P);
@@ -807,16 +802,15 @@ int main(int Argc, char **Argv) {
          format("%.2fx", P.Speedup),
          std::to_string(ShardJobs.size() - Rep.numSucceeded()) + "/" +
              std::to_string(Rep.Reports.size()),
-         std::to_string(Rep.TotalQueries),
-         std::to_string(P.StolenTasks)},
-        {9, 10, 9, 7, 10, 8});
+         std::to_string(Rep.TotalQueries)},
+        {9, 10, 9, 7, 10});
   }
 
   banner("observability: tier overhead + deep-proof phase profile");
   // The deep proofs at 1 shard / 1 worker are the most instrumentation-
-  // dense workload in this bench (every candidate passes a trace site,
-  // a phase scope, and the V/W lock wrappers), so they bound the obs
-  // overhead from above. Three back-to-back modes; verdicts AND query
+  // dense workload in this bench (every candidate passes a trace site, a
+  // phase clock switch, and the V claim and W probe, both lock-free), so
+  // they bound the obs overhead from above. Three back-to-back modes; verdicts AND query
   // counts must be identical — the search is deterministic here, so any
   // drift would mean observability steered it.
   std::vector<ObsPoint> ObsRuns;

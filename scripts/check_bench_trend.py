@@ -164,8 +164,8 @@ def main():
                      ("memo_hit_rate", False)], t)
     if same_machine:
         # speedup guards shard scaling itself; total_queries guards the
-        # query-neutrality of the sharded search (steal binds and claim
-        # races must not inflate checker work).
+        # query-neutrality of the sharded search (per-shard binds and
+        # claim races must not inflate checker work).
         compare_section(base, cur, "shards", "shards",
                         [("jobs_per_sec", False), ("speedup", False),
                          ("total_queries", True)] + pct, t)

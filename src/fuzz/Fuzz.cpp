@@ -43,13 +43,10 @@ const char *statusName(SynthStatus S) {
 }
 
 std::string cellName(const std::string &Backend, bool RuleGran,
-                     bool Budgeted, unsigned Shards, bool Steal,
-                     bool Learn) {
+                     bool Budgeted, unsigned Shards, bool Learn) {
   std::string N = Backend;
   N += RuleGran ? "/rule" : "/switch";
   N += "/sh" + std::to_string(Shards);
-  if (Steal)
-    N += "+steal";
   if (Budgeted)
     N += "/budget";
   if (Learn)
@@ -60,7 +57,7 @@ std::string cellName(const std::string &Backend, bool RuleGran,
 /// One matrix cell: a plain synthesizeUpdate run with a fresh checker.
 SynthResult runCell(const Scenario &S, const std::string &Backend,
                     bool RuleGran, const BudgetSpec *Budget, unsigned Shards,
-                    bool Steal, const std::shared_ptr<ConstraintStore> &L) {
+                    const std::shared_ptr<ConstraintStore> &L) {
   FormulaFactory FF;
   std::unique_ptr<CheckerBackend> Checker =
       BackendFactory::instance().create(Backend, S);
@@ -74,7 +71,6 @@ SynthResult runCell(const Scenario &S, const std::string &Backend,
       O.MaxCheckCalls = Budget->Amount;
   }
   O.Shards = Shards; // An explicit 1 pins the sequential search.
-  O.WorkStealing = Steal;
   if (Shards > 1)
     O.ShardCheckerFactory = [&Backend,
                              &S]() -> std::unique_ptr<CheckerBackend> {
@@ -334,11 +330,9 @@ fuzz::checkScenario(const Scenario &S,
 
   for (bool RuleGran : {false, true}) {
     // The unlimited sequential reference cell for this granularity.
-    SynthResult Ref =
-        runCell(S, Backends[0], RuleGran, nullptr, 1, false, nullptr);
+    SynthResult Ref = runCell(S, Backends[0], RuleGran, nullptr, 1, nullptr);
     ++Cells;
-    std::string RefName =
-        cellName(Backends[0], RuleGran, false, 1, false, false);
+    std::string RefName = cellName(Backends[0], RuleGran, false, 1, false);
     std::string RefCmds = commandSeqToString(S.Topo, Ref.Commands);
     GranRef[RuleGran] = Ref.Status;
 
@@ -368,103 +362,85 @@ fuzz::checkScenario(const Scenario &S,
         for (unsigned Shards : {1u, 4u}) {
           if (ShallowB && Shards != 1)
             continue;
-          for (bool Steal : {false, true}) {
-            if (Shards == 1 && Steal)
-              continue; // The knob is inert by construction.
-            for (bool L : {false, true}) {
-              if (ShallowB && L)
-                continue;
-              if (!Budgeted && B == Backends[0] && Shards == 1 && !L)
-                continue; // That is the reference cell itself.
-              SynthResult R =
-                  runCell(S, B, RuleGran, Budgeted ? &Budget : nullptr,
-                          Shards, Steal, L ? Learn : nullptr);
-              ++Cells;
-              std::string Name =
-                  cellName(B, RuleGran, Budgeted, Shards, Steal, L);
+          for (bool L : {false, true}) {
+            if (ShallowB && L)
+              continue;
+            if (!Budgeted && B == Backends[0] && Shards == 1 && !L)
+              continue; // That is the reference cell itself.
+            SynthResult R =
+                runCell(S, B, RuleGran, Budgeted ? &Budget : nullptr, Shards,
+                        L ? Learn : nullptr);
+            ++Cells;
+            std::string Name =
+                cellName(B, RuleGran, Budgeted, Shards, L);
 
-              if (!Budgeted) {
-                if (R.Status != Ref.Status) {
-                  Bad = disagree("verdict mismatch", RefName, Name,
-                                 statusName(Ref.Status),
-                                 statusName(R.Status));
-                  break;
-                }
-                if (Shards == 1) {
-                  std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-                  if (Cmds != RefCmds) {
-                    Bad = disagree("sequential sequence drift", RefName,
-                                   Name, RefCmds, Cmds);
-                    break;
-                  }
-                } else if (R.Status == SynthStatus::Success) {
-                  std::string Why;
-                  if (!replayOk(S, R.Commands, &Why)) {
-                    Bad = disagree("sharded sequence fails replay", RefName,
-                                   Name, "correct careful sequence", Why);
-                    break;
-                  }
-                }
-                if ((Shards == 1 || !Steal) && R.Stats.StolenTasks != 0) {
-                  Bad = disagree("stealing engaged while inert", RefName,
-                                 Name, "StolenTasks == 0",
-                                 std::to_string(R.Stats.StolenTasks));
-                  break;
-                }
-              } else {
-                if ((Bad = checkCompletedBudget(S, Ref.Status, RefName,
-                                                RefCmds, R, Name)))
-                  break;
-                if (!BRef) {
-                  // First budgeted cell of this backend group is the
-                  // (1 shard, no steal, no learning) budget reference.
-                  BRef = R;
-                  BRefCmds = commandSeqToString(S.Topo, R.Commands);
-                  BRefName = Name;
-                  if (R.Status != SynthStatus::Aborted &&
-                      R.Status != Ref.Status) {
-                    Bad = disagree("completed budget verdict contradicts "
-                                   "unlimited verdict",
-                                   RefName, Name, statusName(Ref.Status),
-                                   statusName(R.Status));
-                    break;
-                  }
-                  continue;
-                }
-                if (R.Status != BRef->Status) {
-                  Bad = disagree("budget verdict drift", BRefName, Name,
-                                 statusName(BRef->Status),
-                                 statusName(R.Status));
-                  break;
-                }
+            if (!Budgeted) {
+              if (R.Status != Ref.Status) {
+                Bad = disagree("verdict mismatch", RefName, Name,
+                               statusName(Ref.Status),
+                               statusName(R.Status));
+                break;
+              }
+              if (Shards == 1) {
                 std::string Cmds = commandSeqToString(S.Topo, R.Commands);
-                if (Cmds != BRefCmds) {
-                  Bad = disagree("budget sequence drift", BRefName, Name,
-                                 BRefCmds, Cmds);
+                if (Cmds != RefCmds) {
+                  Bad = disagree("sequential sequence drift", RefName,
+                                 Name, RefCmds, Cmds);
                   break;
                 }
-                if (R.Stats.StolenTasks != 0) {
-                  Bad = disagree("deterministic budget mode stole tasks",
-                                 BRefName, Name, "StolenTasks == 0",
-                                 std::to_string(R.Stats.StolenTasks));
-                  break;
-                }
-                if (L && R.Stats.ImportedConstraints != 0) {
-                  Bad = disagree("budget mode imported constraints",
-                                 BRefName, Name, "ImportedConstraints == 0",
-                                 std::to_string(R.Stats.ImportedConstraints));
-                  break;
-                }
-                if (R.Stats.BudgetSpent != BRef->Stats.BudgetSpent) {
-                  Bad = disagree("budget accounting drift", BRefName, Name,
-                                 std::to_string(BRef->Stats.BudgetSpent),
-                                 std::to_string(R.Stats.BudgetSpent));
+              } else if (R.Status == SynthStatus::Success) {
+                std::string Why;
+                if (!replayOk(S, R.Commands, &Why)) {
+                  Bad = disagree("sharded sequence fails replay", RefName,
+                                 Name, "correct careful sequence", Why);
                   break;
                 }
               }
+            } else {
+              if ((Bad = checkCompletedBudget(S, Ref.Status, RefName,
+                                              RefCmds, R, Name)))
+                break;
+              if (!BRef) {
+                // First budgeted cell of this backend group is the
+                // (1 shard, no learning) budget reference.
+                BRef = R;
+                BRefCmds = commandSeqToString(S.Topo, R.Commands);
+                BRefName = Name;
+                if (R.Status != SynthStatus::Aborted &&
+                    R.Status != Ref.Status) {
+                  Bad = disagree("completed budget verdict contradicts "
+                                 "unlimited verdict",
+                                 RefName, Name, statusName(Ref.Status),
+                                 statusName(R.Status));
+                  break;
+                }
+                continue;
+              }
+              if (R.Status != BRef->Status) {
+                Bad = disagree("budget verdict drift", BRefName, Name,
+                               statusName(BRef->Status),
+                               statusName(R.Status));
+                break;
+              }
+              std::string Cmds = commandSeqToString(S.Topo, R.Commands);
+              if (Cmds != BRefCmds) {
+                Bad = disagree("budget sequence drift", BRefName, Name,
+                               BRefCmds, Cmds);
+                break;
+              }
+              if (L && R.Stats.ImportedConstraints != 0) {
+                Bad = disagree("budget mode imported constraints",
+                               BRefName, Name, "ImportedConstraints == 0",
+                               std::to_string(R.Stats.ImportedConstraints));
+                break;
+              }
+              if (R.Stats.BudgetSpent != BRef->Stats.BudgetSpent) {
+                Bad = disagree("budget accounting drift", BRefName, Name,
+                               std::to_string(BRef->Stats.BudgetSpent),
+                               std::to_string(R.Stats.BudgetSpent));
+                break;
+              }
             }
-            if (Bad)
-              break;
           }
           if (Bad)
             break;
@@ -487,8 +463,8 @@ fuzz::checkScenario(const Scenario &S,
   // Cross-granularity relations between the two reference verdicts.
   bool SwIV = GranRef[0] == SynthStatus::InitialViolation;
   bool RlIV = GranRef[1] == SynthStatus::InitialViolation;
-  std::string SwName = cellName(Backends[0], false, false, 1, false, false);
-  std::string RlName = cellName(Backends[0], true, false, 1, false, false);
+  std::string SwName = cellName(Backends[0], false, false, 1, false);
+  std::string RlName = cellName(Backends[0], true, false, 1, false);
   if (SwIV != RlIV)
     return disagree("InitialViolation depends on granularity", SwName,
                     RlName, statusName(GranRef[0]), statusName(GranRef[1]));
@@ -534,11 +510,9 @@ fuzz::checkLargeScenario(const Scenario &S, const std::string &Backend,
   std::optional<Disagreement> Bad;
   SynthStatus GranRef[2] = {SynthStatus::Aborted, SynthStatus::Aborted};
   for (bool RuleGran : {false, true}) {
-    SynthResult Ref = runCell(S, Backend, RuleGran, nullptr, 1, false,
-                              nullptr);
+    SynthResult Ref = runCell(S, Backend, RuleGran, nullptr, 1, nullptr);
     ++Cells;
-    std::string RefName = cellName(Backend, RuleGran, false, 1, false,
-                                   false);
+    std::string RefName = cellName(Backend, RuleGran, false, 1, false);
     std::string RefCmds = commandSeqToString(S.Topo, Ref.Commands);
     GranRef[RuleGran] = Ref.Status;
     if (Ref.Status == SynthStatus::Success) {
@@ -553,10 +527,9 @@ fuzz::checkLargeScenario(const Scenario &S, const std::string &Backend,
     // search under a quota no unit can exhaust, so it prunes against
     // unit-scoped state and must still reproduce the reference bytes.
     const BudgetSpec Generous{uint64_t(1) << 30, /*PerUnit=*/true};
-    SynthResult R =
-        runCell(S, Backend, RuleGran, &Generous, 1, false, nullptr);
+    SynthResult R = runCell(S, Backend, RuleGran, &Generous, 1, nullptr);
     ++Cells;
-    std::string Name = cellName(Backend, RuleGran, true, 1, false, false);
+    std::string Name = cellName(Backend, RuleGran, true, 1, false);
     if (R.Stats.ExhaustedUnits != 0) {
       Bad = disagree("a generous unit quota ran dry", RefName, Name,
                      "ExhaustedUnits == 0",
@@ -575,14 +548,14 @@ fuzz::checkLargeScenario(const Scenario &S, const std::string &Backend,
   bool RlIV = GranRef[1] == SynthStatus::InitialViolation;
   if (SwIV != RlIV)
     return disagree("InitialViolation depends on granularity (large)",
-                    cellName(Backend, false, false, 1, false, false),
-                    cellName(Backend, true, false, 1, false, false),
+                    cellName(Backend, false, false, 1, false),
+                    cellName(Backend, true, false, 1, false),
                     statusName(GranRef[0]), statusName(GranRef[1]));
   if (GranRef[0] == SynthStatus::Success &&
       GranRef[1] == SynthStatus::Impossible)
     return disagree("switch-feasible large instance is rule-impossible",
-                    cellName(Backend, false, false, 1, false, false),
-                    cellName(Backend, true, false, 1, false, false),
+                    cellName(Backend, false, false, 1, false),
+                    cellName(Backend, true, false, 1, false),
                     "rule granularity at least as permissive",
                     "Impossible");
   return std::nullopt;

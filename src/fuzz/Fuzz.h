@@ -13,14 +13,14 @@
 /// variants (blackholed destinations, initial-violation configs) — and
 /// runs it through every cell of
 ///
-///     backend registry x granularity x shards {1,4} x steal on/off
+///     backend registry x granularity x shards {1,4}
 ///                      x budget on/off x learning on/off,
 ///
 /// checking the repository's determinism contracts (the oracle; see
 /// docs/ARCHITECTURE.md "Scenario zoo & differential fuzzing"):
 ///
 ///  - unlimited cells of one granularity agree on the verdict, across
-///    every backend, shard count, steal setting, and learning setting;
+///    every backend, shard count, and learning setting;
 ///  - unlimited *sequential* cells (1 shard) return byte-identical
 ///    command sequences — pruning differences between backends (hsa
 ///    yields no counterexamples) must never change the sequence, only
@@ -29,15 +29,14 @@
 ///    configuration satisfies the property and the sequence lands
 ///    exactly on the final configuration;
 ///  - budgeted cells are byte-identical (verdict and sequence) to their
-///    own backend's 1-shard budget reference, never steal, never import
-///    learned constraints, and agree on BudgetSpent on every cell;
+///    own backend's 1-shard budget reference, never import learned
+///    constraints, and agree on BudgetSpent on every cell;
 ///  - a budgeted cell that completes (is not Aborted) agrees with the
 ///    unlimited verdict, and one that exhausted no unit
 ///    (ExhaustedUnits == 0) returns the unlimited 1-shard reference's
 ///    verdict and exact bytes — unit-scoped pruning only re-explores
 ///    subtrees the shared pruning state skips, none of which holds the
 ///    first success;
-///  - stealing is inert when off or unsharded (StolenTasks == 0);
 ///  - granularities relate: InitialViolation is granularity-independent,
 ///    and a switch-feasible instance is rule-feasible (the converse
 ///    fails by design on double diamonds).
@@ -115,7 +114,7 @@ struct FuzzOptions {
   std::vector<std::string> Backends;
   /// Backends restricted to the two sequential unlimited cells (verdict
   /// + sequence agreement per granularity) on single-class reachability
-  /// instances, skipping the shard / steal / budget / learning
+  /// instances, skipping the shard / budget / learning
   /// sub-matrix. Those schedule-invariance cells exercise the search
   /// skeleton, not the checker, so they are swept with the fast
   /// backends; the symbolic NuSMV-substitute is orders of magnitude

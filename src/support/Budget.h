@@ -131,13 +131,18 @@ public:
   }
 
   /// The hard bound on charged calls across all units (for
-  /// SynthStats::BudgetRemaining reporting).
+  /// SynthStats::BudgetRemaining reporting), saturating at UINT64_MAX:
+  /// a per-unit quota near the top of the range must not wrap the sum.
   uint64_t totalQuota() const {
     if (!Limited)
       return 0;
     uint64_t Sum = 0;
-    for (size_t U = 0; U != Units; ++U)
-      Sum += unitQuota(U);
+    for (size_t U = 0; U != Units; ++U) {
+      uint64_t Q = unitQuota(U);
+      if (Q > UINT64_MAX - Sum)
+        return UINT64_MAX;
+      Sum += Q;
+    }
     return Sum;
   }
 

@@ -32,22 +32,11 @@
 // prunes, and since all units complete before a verdict is reached, every
 // skipped subtree has been fully explored by its claimant.
 //
-// Work-stealing (sharded non-budget mode): a depth-one split load-
-// balances badly when one unit dwarfs the rest, so shards that run out
-// of units steal below depth one. A shard exploring a shallow DFS node
-// may, instead of descending into a candidate child itself, publish a
-// descriptor (path from the root, candidate op, owning unit) on its
-// bounded deque; idle shards pop descriptors, replay the path on their
-// private structure (raw mutations, then one checker bind), and explore
-// the subtree with the normal claim/prune protocol. Soundness needs no
-// new machinery: a descriptor is published *instead of* the owner's
-// descent, and the exit protocol (a shard leaves only when every deque
-// is empty and no worker is active — and every pusher drains its own
-// deque before leaving) guarantees each published subtree is eventually
-// explored by exactly whoever reaches it, with the V claims arbitrating
-// duplication exactly as for units. Verdicts stay scheduling-
-// independent for the same reason sharding's are; deterministic budget
-// mode never steals (unit-local state cannot be handed across shards).
+// A shard that runs out of units simply retires. The split needs no
+// finer-grained balancing: sibling units overlap heavily (a configuration
+// with k applied ops is reachable from up to k depth-one roots), so the
+// shards still working claim and prune against everything the others
+// explored and learned.
 //
 // Deterministic budget mode (a finite MaxCheckCalls/UnitCheckCalls)
 // trades the shared pruning state for reproducibility: cross-shard
@@ -85,8 +74,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -230,55 +217,6 @@ Table opResultTable(const Table &Current, const Table &FinalT,
   return Table(std::move(Rules));
 }
 
-/// A subtree descriptor published for stealing: replay Path from the
-/// initial configuration, then explore candidate Cand from there, on
-/// behalf of top-level unit Unit.
-struct StealTask {
-  std::vector<unsigned> Path;
-  unsigned Cand = 0;
-  size_t Unit = 0;
-};
-
-/// A bounded mutex-guarded deque of steal tasks, one per shard. The
-/// owner pushes at (and pops from) the back, thieves pop from the
-/// front — so thieves take the shallowest, biggest subtrees while the
-/// owner reclaims its most recent offers. The bound keeps descriptors
-/// from piling up faster than they are consumed; a failed push just
-/// means the owner explores the candidate itself.
-class StealDeque {
-public:
-  bool tryPush(StealTask &&T) {
-    MutexLock Lock(M);
-    if (Q.size() >= Cap)
-      return false;
-    Q.push_back(std::move(T));
-    return true;
-  }
-
-  bool tryPopBack(StealTask &T) {
-    MutexLock Lock(M);
-    if (Q.empty())
-      return false;
-    T = std::move(Q.back());
-    Q.pop_back();
-    return true;
-  }
-
-  bool tryPopFront(StealTask &T) {
-    MutexLock Lock(M);
-    if (Q.empty())
-      return false;
-    T = std::move(Q.front());
-    Q.pop_front();
-    return true;
-  }
-
-private:
-  static constexpr size_t Cap = 128;
-  Mutex M;
-  std::deque<StealTask> Q NETUPD_GUARDED_BY(M);
-};
-
 /// The pruning state of Fig. 4 behind one type: the V claim, the W
 /// refutations, and the early-termination SAT layer. The search context
 /// owns the instance every shard shares; in deterministic budget mode
@@ -380,19 +318,6 @@ struct SearchContext {
   /// budget-mode searchers then journal their unit-scoped entries for the
   /// export instead of dropping them with the unit.
   bool ExportLearning = false;
-
-  /// Work-stealing state (sharded non-budget mode only; see the file
-  /// comment). One bounded deque per shard; a shard pushes only to its
-  /// own — takeTask scans it first, so a pusher drains its own offers
-  /// before it may exit, which is what keeps published subtrees from
-  /// being stranded. ActiveWorkers counts shards currently holding work
-  /// (a unit or a stolen task) plus shards mid-scan; IdleShards lets
-  /// busy shards skip the publish when nobody could take it.
-  bool Stealing = false;
-  unsigned StealDepthLimit = 0;
-  std::vector<std::unique_ptr<StealDeque>> Deques;
-  std::atomic<unsigned> ActiveWorkers{0};
-  std::atomic<unsigned> IdleShards{0};
 
   // Cancellation and abort-cause bookkeeping. The wall clock only
   // matters between work units (soft hint); check budgets are accounted
@@ -567,9 +492,9 @@ void SearchContext::buildOps() {
 class ShardSearcher {
 public:
   ShardSearcher(SearchContext &Ctx, KripkeStructure &K,
-                CheckerBackend &Checker, unsigned ShardIndex = 0)
-      : Ctx(Ctx), K(K), Checker(Checker), ShardIndex(ShardIndex),
-        Stop(Ctx.stopToken()), Prune(&Ctx.Prune) {
+                CheckerBackend &Checker)
+      : Ctx(Ctx), K(K), Checker(Checker), Stop(Ctx.stopToken()),
+        Prune(&Ctx.Prune) {
     Applied.resize(Ctx.Ops.size());
     // One frame per possible depth, sized once: tryCandidate holds
     // references into Frames across the recursive dfs() call, so the
@@ -597,8 +522,7 @@ public:
   }
 
   /// Pulls top-level units until they run out, the shard aborts, or a
-  /// sibling wins; then (stealing mode) turns thief and drains the
-  /// deques. Publishes this shard's sequence if it finds one.
+  /// sibling wins. Publishes this shard's sequence if it finds one.
   void runUnits() {
     for (;;) {
       if (AbortFlag)
@@ -607,10 +531,10 @@ public:
       // fetch_add below, and a stale read only costs one loop turn.
       if (Ctx.NextUnit.load(std::memory_order_relaxed) >=
           Ctx.OpOrder.size())
-        break;  // Every unit claimed: nothing left here but stealing —
-                // a stop or an expired wall observed now must not taint
-                // the verdict; whether the search is exhaustive is
-                // decided by the shards that own the claimed work.
+        return; // Every unit claimed: a stop or an expired wall
+                // observed now must not taint the verdict; whether the
+                // search is exhaustive is decided by the shards that own
+                // the claimed work.
       if (Stop.stopRequested()) {
         // A stop seen here leaves work units unexplored, so its cause
         // must be recorded: without a flag the verdict block would
@@ -621,9 +545,8 @@ public:
         return;
       }
       if (Ctx.softWallExpired()) {
-        // The soft hint's only firing point: between units (and steal
-        // tasks), so a unit that starts always runs to its
-        // deterministic conclusion.
+        // The soft hint's only firing point: between units, so a unit
+        // that starts always runs to its deterministic conclusion.
         // relaxed: a cause flag read only after every shard joined.
         Ctx.WallAbort.store(true, std::memory_order_relaxed);
         Ctx.Halt.requestStop();
@@ -633,14 +556,12 @@ public:
       // unit payloads are immutable after buildOps().
       size_t Unit = Ctx.NextUnit.fetch_add(1, std::memory_order_relaxed);
       if (Unit >= Ctx.OpOrder.size())
-        break; // Genuine exhaustion: every unit claimed.
+        return; // Genuine exhaustion: every unit claimed.
       // relaxed: advisory outranking bound (see recordWinner).
       if (Ctx.Deterministic &&
           Unit > Ctx.BestUnit.load(std::memory_order_relaxed))
         return; // A lower unit already won; everything from here on is
                 // outranked (units are pulled in increasing order).
-      if (Ctx.Stealing)
-        Ctx.ActiveWorkers.fetch_add(1, std::memory_order_acq_rel);
       beginUnit(Unit);
       bool Won;
       {
@@ -649,15 +570,11 @@ public:
       }
       Clock.stop(); // Inter-unit work (binds, waits) is not a phase.
       finishUnit();
-      if (Ctx.Stealing)
-        Ctx.ActiveWorkers.fetch_sub(1, std::memory_order_acq_rel);
       if (Won) {
         Ctx.recordWinner(Unit, AppliedSeq);
         return; // Keep the final structure; no rollback.
       }
     }
-    if (Ctx.Stealing)
-      stealLoop();
   }
 
   SynthStats Stats;
@@ -706,21 +623,13 @@ private:
   }
 
   /// The recursive part of Fig. 4: try every remaining candidate from
-  /// the current configuration. In stealing mode, shallow candidates
-  /// may be published for an idle sibling instead of descended into —
-  /// the claim protocol arbitrates duplication either way, so the
-  /// subtree is explored exactly once no matter who reaches it.
+  /// the current configuration.
   bool dfs() {
     if (Applied.count() == Ctx.Ops.size())
       return true;
     for (unsigned I : Ctx.OpOrder) {
       if (Applied.test(I))
         continue;
-      // relaxed: advisory idle hint; a stale zero just skips one offer.
-      if (Ctx.Stealing && AppliedSeq.size() <= Ctx.StealDepthLimit &&
-          Ctx.IdleShards.load(std::memory_order_relaxed) > 0 &&
-          offerSteal(I))
-        continue; // Someone else explores this edge; see stealLoop.
       if (tryCandidate(I))
         return true;
       if (AbortFlag || UnitStop)
@@ -868,130 +777,6 @@ private:
     return false;
   }
 
-  /// Publishes candidate \p I (explored from the current applied
-  /// prefix) on this shard's own deque instead of descending into it.
-  /// False when the deque is full — the caller descends itself.
-  bool offerSteal(unsigned I) {
-    StealTask T;
-    T.Path = AppliedSeq;
-    T.Cand = I;
-    T.Unit = CurrentUnit;
-    return Ctx.Deques[ShardIndex]->tryPush(std::move(T));
-  }
-
-  /// Claims a task: own deque first (newest offer — the hot rollback
-  /// path), then the siblings' fronts (their oldest, shallowest
-  /// offers). Registers this shard as active *before* scanning and
-  /// stays registered on success; only a failed full scan deregisters.
-  /// Scanning the own deque first is what makes the exit protocol
-  /// sound: only this shard pushes to its deque, so it cannot exit —
-  /// which requires a failed scan — while its own offers are
-  /// undrained, and therefore no published subtree is ever stranded.
-  bool takeTask(StealTask &T) {
-    Ctx.ActiveWorkers.fetch_add(1, std::memory_order_acq_rel);
-    if (Ctx.Deques[ShardIndex]->tryPopBack(T))
-      return true;
-    for (size_t D = 0; D != Ctx.Deques.size(); ++D) {
-      if (D == ShardIndex)
-        continue;
-      if (Ctx.Deques[D]->tryPopFront(T))
-        return true;
-    }
-    Ctx.ActiveWorkers.fetch_sub(1, std::memory_order_acq_rel);
-    return false;
-  }
-
-  /// Executes one stolen subtree: replay the path with raw structure
-  /// updates (per-step rechecks would be wasted — the owner already
-  /// verified every prefix), re-bind the checker once at the replayed
-  /// configuration, then run the normal claimed exploration of the
-  /// candidate. Returns true iff this completed a winning sequence
-  /// (already recorded); otherwise the shard is back at the initial
-  /// configuration when this returns.
-  bool runStolen(const StealTask &T) {
-    assert(AppliedSeq.empty() && "stolen task on a dirty shard");
-    CurrentUnit = T.Unit; // Nested offers charge the right unit.
-    std::vector<KripkeStructure::UndoRecord> Undos;
-    Undos.reserve(T.Path.size());
-    for (unsigned OpIdx : T.Path) {
-      const MicroOp &Op = Ctx.Ops[OpIdx];
-      const Header *ClassHdr =
-          Op.ClassIdx < 0
-              ? nullptr
-              : &Ctx.Classes[static_cast<size_t>(Op.ClassIdx)].Hdr;
-      Table NewTable = opResultTable(K.config().table(Op.Sw),
-                                     Ctx.Final.table(Op.Sw), ClassHdr);
-      std::vector<StateId> Changed;
-      Undos.push_back(K.applySwitchUpdate(Op.Sw, NewTable, Changed));
-      Applied.set(OpIdx);
-      AppliedSeq.push_back(OpIdx);
-    }
-    CheckResult BindRes;
-    {
-      PhaseScope Ps(obs::detailEnabled(), PhaseCheckNs);
-      BindRes = Checker.bind(K, Ctx.Phi);
-    }
-    ++Stats.CheckCalls; // The price of a steal: one extra bind query.
-    ++Stats.StolenTasks;
-    // The owner reached this prefix through successful rechecks, so the
-    // bind can only fail if the backend is nondeterministic — in which
-    // case exploring would be unsound; skip the task. (Its subtree was
-    // claimed by nobody: any shard reaching it normally still can.)
-    bool Won = BindRes.Holds && tryCandidate(T.Cand);
-    Clock.stop(); // Steal-queue scanning between tasks is not a phase.
-    if (Won) {
-      Ctx.recordWinner(T.Unit, AppliedSeq);
-      return true; // Keep the final structure; no rollback.
-    }
-    // Unwind the replay (tryCandidate already restored the replayed
-    // configuration). The checker is stale after these raw undos, but
-    // the next consumer — another runStolen — re-binds regardless.
-    for (size_t S = Undos.size(); S-- > 0;) {
-      K.undo(std::move(Undos[S]));
-      Applied.reset(T.Path[S]);
-    }
-    AppliedSeq.clear();
-    return false;
-  }
-
-  /// The thief phase, entered once every top-level unit is claimed:
-  /// drain the deques until no task is found while no worker is active
-  /// (then nothing can be published anymore), a winner appears, or the
-  /// shard aborts.
-  void stealLoop() {
-    // relaxed: advisory idle count consumed by the offerSteal hint.
-    Ctx.IdleShards.fetch_add(1, std::memory_order_relaxed);
-    StealTask T;
-    for (;;) {
-      if (AbortFlag)
-        break;
-      if (Stop.stopRequested()) {
-        noteStop();
-        break;
-      }
-      if (Ctx.softWallExpired()) {
-        // relaxed: a cause flag read only after every shard joined.
-        Ctx.WallAbort.store(true, std::memory_order_relaxed);
-        Ctx.Halt.requestStop();
-        break;
-      }
-      if (takeTask(T)) {
-        bool Won = runStolen(T);
-        Ctx.ActiveWorkers.fetch_sub(1, std::memory_order_acq_rel);
-        if (Won || AbortFlag)
-          break;
-        continue;
-      }
-      // Failed scan (takeTask dropped the active mark): exit only once
-      // nobody holds work — an active worker may still publish.
-      if (Ctx.ActiveWorkers.load(std::memory_order_acquire) == 0)
-        break;
-      std::this_thread::yield();
-    }
-    // relaxed: advisory idle count (see fetch_add above).
-    Ctx.IdleShards.fetch_sub(1, std::memory_order_relaxed);
-  }
-
   void learnCex(const std::vector<StateId> &CexStates, const Bitset &Bits) {
     // The counterexample trace depends only on how the switches it
     // crosses route its own traffic class, so any configuration agreeing
@@ -1063,8 +848,6 @@ private:
   SearchContext &Ctx;
   KripkeStructure &K;       // Shard-private; mutate/rollback stays here.
   CheckerBackend &Checker;  // Shard-private, follows K.
-  /// This shard's slot in Ctx.Deques (primary 0, thread T -> T+1).
-  unsigned ShardIndex;
   StopToken Stop;
 
   Bitset Applied;
@@ -1095,7 +878,7 @@ private:
   /// searcher lives inside one run, so the flag cannot change under it.
   const bool Prof = obs::detailEnabled();
   /// The shard's phase timeline, spanning units and the DFS recursion;
-  /// stopped at unit/steal boundaries so only search work is attributed.
+  /// stopped at unit boundaries so only search work is attributed.
   PhaseClock Clock{Prof};
   /// The SAT check batches failures: solving after every learned clause
   /// is wasted work when the constraints are still easily satisfiable.
@@ -1209,18 +992,6 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
     }
   }
 
-  // Work-stealing engages only where it is sound *and* useful: sharded
-  // (someone to steal from) and non-deterministic (budget mode's
-  // unit-scoped pruning and quota state cannot be handed across shards
-  // without making the verdict depend on scheduling).
-  Ctx.Stealing = Sharded && !Ctx.Deterministic && Opts.WorkStealing;
-  Ctx.StealDepthLimit = Opts.StealDepth;
-  if (Ctx.Stealing) {
-    Ctx.Deques.reserve(Shards);
-    for (unsigned S = 0; S != Shards; ++S)
-      Ctx.Deques.push_back(std::make_unique<StealDeque>());
-  }
-
   KripkeStructure K(Topo, Initial, Classes);
   ShardSearcher Primary(Ctx, K, Checker);
   CheckResult InitRes = Primary.bindInitial();
@@ -1325,7 +1096,7 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
         if (!ShardChecker)
           return; // Fewer shards; the rest still cover every unit.
         KripkeStructure ShardK(Topo, Initial, Classes);
-        ShardSearcher Shard(Ctx, ShardK, *ShardChecker, T + 1);
+        ShardSearcher Shard(Ctx, ShardK, *ShardChecker);
         CheckResult BindRes = Shard.bindInitial();
         // The primary bind verified the initial configuration; a shard
         // bind can only disagree if the backend is nondeterministic, in

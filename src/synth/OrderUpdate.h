@@ -133,21 +133,6 @@ struct SynthOptions {
   /// state their backend needs. Must be callable concurrently and must
   /// outlive the synthesizeUpdate call.
   std::function<std::unique_ptr<CheckerBackend>()> ShardCheckerFactory;
-  /// Work-stealing below the depth-one unit split (sharded non-budget
-  /// searches only): shards that run out of top-level units steal
-  /// shallow subtree descriptors other shards published instead of
-  /// going idle, which is what lets a handful of heavy units keep every
-  /// shard busy. Verdict-preserving by the same argument as sharding
-  /// itself (the V claim map arbitrates who explores what), and
-  /// automatically off in deterministic budget mode, whose unit-local
-  /// state forbids cross-shard hand-offs. A performance knob, excluded
-  /// from digestOf(SynthJob).
-  bool WorkStealing = true;
-  /// Maximum depth (in applied ops) at which a shard offers subtrees to
-  /// thieves. Shallow offers hand over big subtrees (good), deep offers
-  /// churn the deques for slivers of work. Performance knob, excluded
-  /// from digests.
-  unsigned StealDepth = 3;
   /// Cross-job learning store (null = off; see support/ConstraintStore.h).
   /// On start the search imports the wrong-set entries earlier runs of
   /// this (LearningScenario, RuleGranularity) published — pre-populating
@@ -203,9 +188,9 @@ struct SynthStats {
   uint64_t ImportedConstraints = 0;
   uint64_t ExportedConstraints = 0;
   uint64_t SeededPrunes = 0;
-  /// Subtree descriptors this searcher executed on behalf of another
-  /// shard (work-stealing; always zero in deterministic budget mode and
-  /// in sequential runs). Each stolen task costs one extra bind query.
+  /// Always zero: the search no longer steals work (sharded searches
+  /// balance through the shared V claim alone). Kept because
+  /// perfbench/src/main.cpp reports it as synth.stolen_tasks.
   uint64_t StolenTasks = 0;
   /// Wrong-set entries the ConstraintStore's insert-time subsumption
   /// discarded when this run published (zero when SynthOptions::Learning

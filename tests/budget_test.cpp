@@ -96,6 +96,16 @@ TEST(BudgetLedgerTest, PerUnitGivesEveryUnitTheFullQuota) {
   EXPECT_EQ(L.totalQuota(), 21u);
 }
 
+TEST(BudgetLedgerTest, TotalQuotaSaturatesInsteadOfWrapping) {
+  // 2 x 2^63 is 2^64: a wrapping sum reads 0, and BudgetRemaining with
+  // it, on a run that spent almost nothing.
+  EXPECT_EQ(BudgetLedger::perUnit(uint64_t(1) << 63, 2).totalQuota(),
+            UINT64_MAX);
+  EXPECT_EQ(BudgetLedger::perUnit(UINT64_MAX, 3).totalQuota(), UINT64_MAX);
+  EXPECT_EQ(BudgetLedger::perUnit(UINT64_MAX - 1, 1).totalQuota(),
+            UINT64_MAX - 1);
+}
+
 TEST(BudgetLedgerTest, AccountsAreInclusiveAtTheBoundary) {
   BudgetAccount A = BudgetLedger::perUnit(2, 1).openAccount(0);
   ASSERT_TRUE(A.limited());
@@ -196,15 +206,13 @@ TEST(BudgetBoundaryTest, ExactBudgetSucceedsOneLessAborts) {
 
 namespace {
 
-/// One job's observable outcome for the matrix comparison: the verdict
-/// plus the rendered command sequence (byte-identical requirement).
+/// One job's observable outcome for the matrix comparison: the verdict,
+/// the rendered command sequence (byte-identical requirement), and the
+/// charged spend.
 struct JobFingerprint {
   SynthStatus Status;
   std::string Commands;
-
-  bool operator==(const JobFingerprint &O) const {
-    return Status == O.Status && Commands == O.Commands;
-  }
+  uint64_t BudgetSpent;
 };
 
 std::vector<SynthJob> matrixRegistry() {
@@ -250,15 +258,16 @@ std::vector<SynthJob> matrixRegistry() {
 
 // The acceptance matrix: one job registry run at shards x workers under
 // finite budgets must yield byte-identical verdicts and command
-// sequences in every cell — budget-Aborted verdicts included. This is
-// the property the ledger exists for; a wall clock or a shared call
-// counter fails it on the first noisy machine.
+// sequences in every cell — budget-Aborted verdicts included — and the
+// same BudgetSpent wherever the verdict is not Success. This is the
+// property the ledger exists for; a wall clock or a shared call counter
+// fails it on the first noisy machine.
 TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
   std::vector<SynthJob> Jobs = matrixRegistry();
 
   std::vector<JobFingerprint> Reference;
   bool SawAborted = false;
-  for (unsigned Shards : {1u, 2u, 4u}) {
+  for (unsigned Shards : {1u, 2u, 4u, 8u}) {
     for (unsigned Workers : {1u, 4u}) {
       EngineOptions EO;
       EO.NumWorkers = Workers;
@@ -272,9 +281,10 @@ TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
         const SynthReport &R = Rep.Reports[I];
         EXPECT_TRUE(R.Members[0].Error.empty()) << R.Members[0].Error;
         SawAborted |= R.Result.Status == SynthStatus::Aborted;
-        Run.push_back({R.Result.Status,
-                       commandSeqToString(Jobs[I].S.Topo,
-                                          R.Result.Commands)});
+        Run.push_back(
+            {R.Result.Status,
+             commandSeqToString(Jobs[I].S.Topo, R.Result.Commands),
+             R.Result.Stats.BudgetSpent});
       }
       if (Reference.empty()) {
         Reference = std::move(Run);
@@ -286,6 +296,11 @@ TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
           EXPECT_EQ(Run[I].Commands, Reference[I].Commands)
               << Jobs[I].Name << " sequence changed at shards=" << Shards
               << " workers=" << Workers;
+          if (Reference[I].Status != SynthStatus::Success) {
+            EXPECT_EQ(Run[I].BudgetSpent, Reference[I].BudgetSpent)
+                << Jobs[I].Name << " spend changed at shards=" << Shards
+                << " workers=" << Workers;
+          }
         }
       }
     }

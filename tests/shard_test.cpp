@@ -54,6 +54,18 @@ Scenario diamondWithUpdates(uint64_t FirstSeed, unsigned MinUpdates,
   return Scenario{};
 }
 
+/// An exhaustion-proof instance: a feasible diamond whose destination is
+/// blackholed in the final configuration, so every order fails and the
+/// search must cover the whole safe sub-lattice to report Impossible.
+Scenario blackholedDiamond(uint64_t FirstSeed, unsigned MinUpdates) {
+  Scenario S = diamondWithUpdates(FirstSeed, MinUpdates);
+  if (S.Flows.empty())
+    return S;
+  SwitchId Dst = S.Flows[0].FinalPath.back();
+  S.Final.setTable(Dst, Table());
+  return S;
+}
+
 /// The Fig. 8(h) instance: switch-granularity infeasible, rule feasible.
 Scenario doubleDiamond(uint64_t Seed) {
   Rng R(Seed);
@@ -124,6 +136,13 @@ TEST(ShardedSearchTest, MatchesSequentialAcrossBackendRegistry) {
     EXPECT_EQ(Seq, SynthStatus::Success) << Name;
     EXPECT_EQ(Seq, Sharded) << Name << ": shard count changed the verdict";
   }
+  // The other shard counts split the same search (a count above the
+  // number of units is clamped to it).
+  for (unsigned Shards : {2u, 8u}) {
+    auto [Seq, Sharded] = runBothWays(S, "incremental", Shards);
+    EXPECT_EQ(Seq, SynthStatus::Success);
+    EXPECT_EQ(Seq, Sharded) << Shards << " shards changed the verdict";
+  }
   // The memoizing decorator composes with sharding: every shard owns a
   // private decorator over the shared check cache.
   auto [Seq, Sharded] = runBothWays(S, "memo:incremental", 4);
@@ -132,14 +151,21 @@ TEST(ShardedSearchTest, MatchesSequentialAcrossBackendRegistry) {
 }
 
 // Infeasibility verdicts must also be scheduling-independent: the
-// switch-granularity double diamond proves Impossible under any shard
-// count, and the rule-granularity search still succeeds.
+// switch-granularity double diamond and the blackholed diamond prove
+// Impossible under any shard count, and the rule-granularity search on
+// the double diamond still succeeds.
 TEST(ShardedSearchTest, InfeasibleVerdictsSurviveSharding) {
   Scenario S = doubleDiamond(9);
   for (const char *Backend : {"incremental", "batch"}) {
     auto [Seq, Sharded] = runBothWays(S, Backend, 3);
     EXPECT_EQ(Seq, SynthStatus::Impossible) << Backend;
     EXPECT_EQ(Seq, Sharded) << Backend;
+  }
+  Scenario Blackholed = blackholedDiamond(300, 4);
+  for (unsigned Shards : {2u, 4u, 8u}) {
+    auto [Seq, Sharded] = runBothWays(Blackholed, "incremental", Shards);
+    EXPECT_EQ(Seq, SynthStatus::Impossible) << Shards << " shards";
+    EXPECT_EQ(Seq, Sharded) << Shards << " shards";
   }
   auto [Seq, Sharded] =
       runBothWays(S, "incremental", 3, /*RuleGranularity=*/true);
