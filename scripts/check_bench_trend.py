@@ -30,6 +30,13 @@ annotations for regressions beyond a threshold:
     section's 500+-switch fabric points (scenario-zoo-at-scale cost;
     hard correctness failures there abort the bench itself, so the gate
     only prices the throughput).
+  - ANY change, in either direction, of a deterministic counter: the
+    shards section's total_queries at 1 shard, the sweep section's
+    total_queries at every worker count, and the budget section's
+    budget_spent and total_queries at every shard count. These are pure
+    functions of the batch (the sharded search's totals above 1 shard
+    are not, so they keep the threshold gate), so a change is a
+    behaviour change, not noise; no threshold applies.
 
 Unknown top-level keys and unknown fields inside section points are
 ignored, and sections absent from either file are skipped, so old and
@@ -128,6 +135,26 @@ def compare_section(base, cur, section, key, metrics, threshold):
                            threshold, lower_is_better)
 
 
+def compare_exact(base, cur, section, key, metrics, labels=None):
+    """Warns on any change of the deterministic counters \p metrics at
+    the points labelled \p labels (every point when None)."""
+    if section_scale(base, section) != section_scale(cur, section):
+        note(f"skipping exact '{section}' counters: scales differ")
+        return
+    base_pts = index_by(base.get(section, []), key)
+    cur_pts = index_by(cur.get(section, []), key)
+    for label, cur_pt in cur_pts.items():
+        base_pt = base_pts.get(label)
+        if base_pt is None or (labels is not None and label not in labels):
+            continue
+        for metric in metrics:
+            base_v = base_pt.get(metric)
+            cur_v = cur_pt.get(metric)
+            if base_v is not None and cur_v is not None and base_v != cur_v:
+                warn(f"{section}[{label}] {metric} changed: {base_v} -> "
+                     f"{cur_v} (deterministic counter, compared exactly)")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("baseline")
@@ -212,6 +239,12 @@ def main():
                     [("cpu_s", True), ("check_share", True),
                      ("mutate_share", True), ("prune_share", True),
                      ("sat_share", True)], t)
+    # Deterministic counters: exact, on any machine, at equal scale.
+    compare_exact(base, cur, "shards", "shards", ["total_queries"],
+                  labels={1})
+    compare_exact(base, cur, "sweep", "workers", ["total_queries"])
+    compare_exact(base, cur, "budget", "shards",
+                  ["budget_spent", "total_queries"])
     note(f"comparison complete: {len(REGRESSIONS)} regression(s) beyond "
          f"{t * 100:.0f}%")
     if REGRESSIONS and os.environ.get("NETUPD_BENCH_TREND_ENFORCE") == "1":

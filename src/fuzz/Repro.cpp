@@ -7,6 +7,8 @@
 
 #include "fuzz/Repro.h"
 
+#include "support/Strings.h"
+
 #include <fstream>
 #include <sstream>
 
@@ -124,19 +126,9 @@ private:
   unsigned LineNo = 0;
 };
 
-bool parseU64(const std::string &T, uint64_t &Out) {
-  try {
-    size_t Pos = 0;
-    Out = std::stoull(T, &Pos);
-    return Pos == T.size();
-  } catch (...) {
-    return false;
-  }
-}
-
 bool parseU32(const std::string &T, uint32_t &Out) {
   uint64_t V = 0;
-  if (!parseU64(T, V) || V > 0xffffffffull)
+  if (!parseDecimal(T, V) || V > 0xffffffffull)
     return false;
   Out = static_cast<uint32_t>(V);
   return true;
@@ -506,7 +498,7 @@ std::optional<Repro> fuzz::parseRepro(const std::string &Text,
   }
   Repro R;
   if (!C.nextLine(Tok, Raw) || Tok[0] != "seed" || Tok.size() != 2 ||
-      !parseU64(Tok[1], R.Seed)) {
+      !parseDecimal(Tok[1], R.Seed)) {
     fail(Err, C.line(), "expected 'seed'");
     return std::nullopt;
   }

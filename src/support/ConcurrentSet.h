@@ -7,22 +7,22 @@
 ///
 /// \file
 /// The pruning containers behind the synthesis search
-/// (synth/OrderUpdate.cpp): a direct-indexed atomic bitmap and a striped
-/// open-addressed hash set for the visited (V) configurations, a
-/// watch-list–indexed wrong-set (W) for counterexample constraints, and
-/// a flat sequential set for unit-local V state. All hold *monotone*
-/// state — entries are only ever added, never modified or removed
-/// during a search — which is what makes sharing them across DFS shards
-/// sound: a V claim or a W constraint mined on one shard is a fact about
-/// the problem instance, valid for every other shard the moment it
-/// becomes visible.
+/// (synth/OrderUpdate.cpp): a paged direct-indexed atomic bitmap and a
+/// striped open-addressed hash set for the visited (V) configurations,
+/// and a watch-list–indexed wrong-set (W) for counterexample
+/// constraints. All hold *monotone* state — entries are only ever added,
+/// never modified or removed during a search — which is what makes
+/// sharing them across DFS shards sound: a V claim or a W constraint
+/// mined on one shard is a fact about the problem instance, valid for
+/// every other shard the moment it becomes visible.
 ///
 /// ClaimBitmap::claim and ConcurrentSet::insert are the claim operation
-/// of the sharded search: exactly one caller receives true per value, so
-/// two shards reaching the same intermediate configuration agree on
-/// which of them explores the subtree below it (the other prunes). The
-/// bitmap serves op universes of up to ClaimBitmap::MaxBits ops, where
-/// the whole configuration space fits in 2 MB; the set serves wider ones.
+/// of every search, one shard or many: exactly one caller receives true
+/// per value, so two shards reaching the same intermediate configuration
+/// agree on which of them explores the subtree below it (the other
+/// prunes). Which of the two a search uses depends only on the width of
+/// its op universe: the bitmap serves up to ClaimBitmap::MaxBits ops,
+/// the set wider ones.
 ///
 /// WatchedWrongSet replaces a scan-the-whole-list W set. Each (Mask,
 /// Value) constraint is filed under the first set bit of Value; probing
@@ -39,6 +39,7 @@
 #include "support/Bitset.h"
 #include "support/ThreadAnnotations.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -52,35 +53,99 @@
 namespace netupd {
 
 /// A lock-free claim set over the indices [0, 2^NumBits): one bit per
-/// index in a flat array of atomic words, so a claim is a single
-/// fetch_or with no hashing, probing, locking, or growth. The sharded
-/// search indexes it by the configuration word (bit i = op i applied),
-/// which is why NumBits is capped at MaxBits: 2^24 bits is 2 MB, zeroed
-/// once per search.
+/// index in atomic words, so a claim is a load and at most one fetch_or,
+/// with no hashing, probing, or locking. The search indexes it by the
+/// configuration word (bit i = op i applied), which is why NumBits is
+/// capped at MaxBits: 2^24 bits is 2 MB.
+///
+/// The bits live in fixed-size pages allocated on first touch, so memory
+/// and reset() cost follow the configurations a search reaches rather
+/// than 2^NumBits: a search that visits a handful of configurations in a
+/// 24-op universe zeroes a handful of pages, not 2 MB. A page is
+/// installed by CAS; the loser of a race frees its page and uses the
+/// winner's.
 class ClaimBitmap {
 public:
   static constexpr size_t MaxBits = 24;
 
-  /// Re-shapes for \p NumBits-bit indices, all unclaimed. Not
-  /// thread-safe; call before the search fans out.
+  ClaimBitmap() = default;
+  ~ClaimBitmap() { freePages(); }
+  ClaimBitmap(const ClaimBitmap &) = delete;
+  ClaimBitmap &operator=(const ClaimBitmap &) = delete;
+
+  /// Re-shapes for \p NumBits-bit indices, all unclaimed. At an
+  /// unchanged width the installed pages are zeroed and kept (budget mode
+  /// resets once per unit). Not thread-safe; call before the search fans
+  /// out.
   void reset(size_t NumBits) {
     assert(NumBits <= MaxBits && "configuration space too wide to index");
-    // Value-initialized: every word starts at zero.
-    Words = std::make_unique<std::atomic<uint64_t>[]>(
-        ((size_t(1) << NumBits) + 63) / 64);
+    if (Pages && NumBits == Bits) {
+      // relaxed: reset is documented single-threaded; no concurrent users.
+      for (size_t P = 0; P != NumPages; ++P)
+        if (Word *Pg = Pages[P].load(std::memory_order_relaxed))
+          for (size_t W = 0; W != PageWords; ++W)
+            Pg[W].store(0, std::memory_order_relaxed);
+      return;
+    }
+    freePages();
+    Bits = NumBits;
+    size_t Words = ((size_t(1) << NumBits) + 63) / 64;
+    PageWords = std::min(Words, MaxPageWords);
+    PageShift = static_cast<unsigned>(__builtin_ctzll(PageWords * 64));
+    NumPages = Words / PageWords;
+    // Value-initialized: every page pointer starts null.
+    Pages = std::make_unique<std::atomic<Word *>[]>(NumPages);
   }
 
   /// Claims \p Index; returns true for exactly one caller per index
-  /// across all threads. The returned old bit decides the claim; acq_rel
-  /// gives it the same ordering as ConcurrentSet::insert's stripe lock.
+  /// across all threads. The old bit fetch_or returns decides the claim;
+  /// acq_rel gives it the same ordering as ConcurrentSet::insert's stripe
+  /// lock. Bits are only ever set, so a plain load that already sees the
+  /// bit is a lost claim without the read-modify-write — and most claims
+  /// in an exhaustive search are lost.
   bool claim(uint64_t Index) {
+    Word *Pg = Pages[Index >> PageShift].load(std::memory_order_acquire);
+    if (!Pg)
+      Pg = install(Index >> PageShift);
+    Word &W = Pg[(Index / 64) & (PageWords - 1)];
     uint64_t Bit = uint64_t(1) << (Index % 64);
-    return (Words[Index / 64].fetch_or(Bit, std::memory_order_acq_rel) &
-            Bit) == 0;
+    if (W.load(std::memory_order_acquire) & Bit)
+      return false;
+    return (W.fetch_or(Bit, std::memory_order_acq_rel) & Bit) == 0;
   }
 
 private:
-  std::unique_ptr<std::atomic<uint64_t>[]> Words;
+  using Word = std::atomic<uint64_t>;
+  /// 512 words (4 KiB) per page: 512 pages at MaxBits.
+  static constexpr size_t MaxPageWords = 512;
+
+  /// Publishes a zeroed page at \p P, or adopts the one a racing claim
+  /// published first. Release on success orders the zeroing before any
+  /// acquire load that sees the pointer.
+  Word *install(size_t P) {
+    // Value-initialized: every word starts at zero.
+    std::unique_ptr<Word[]> Fresh = std::make_unique<Word[]>(PageWords);
+    Word *Seen = nullptr;
+    if (Pages[P].compare_exchange_strong(Seen, Fresh.get(),
+                                         std::memory_order_acq_rel,
+                                         std::memory_order_acquire))
+      return Fresh.release();
+    return Seen; // Lost the race: Fresh frees itself.
+  }
+
+  void freePages() {
+    // relaxed: destruction and reset are single-threaded by contract.
+    for (size_t P = 0; P != NumPages; ++P)
+      delete[] Pages[P].load(std::memory_order_relaxed);
+    Pages.reset();
+    NumPages = 0;
+  }
+
+  std::unique_ptr<std::atomic<Word *>[]> Pages;
+  size_t NumPages = 0;
+  size_t PageWords = 0;
+  unsigned PageShift = 0;
+  size_t Bits = 0;
 };
 
 /// A thread-safe grow-only hash set: 64 lock stripes, each guarding an
@@ -107,30 +172,14 @@ public:
     return S.insert(H, V);
   }
 
-  /// True if \p V was inserted before this call. A false may be stale
-  /// (another thread can insert concurrently); callers treat contains()
-  /// as a cheap pre-filter and insert() as the authoritative claim.
-  bool contains(const T &V) const {
-    size_t H = fmix64(Hash()(V));
-    const Stripe &S = stripeFor(H);
-    obs::timedLock(S.M, lockWait());
-    MutexLock Lock(S.M, std::adopt_lock);
-    return S.find(H, V) != SIZE_MAX;
-  }
-
-  size_t size() const {
-    size_t N = 0;
-    for (const Stripe &S : Stripes) {
-      MutexLock Lock(S.M);
-      N += S.Count;
-    }
-    return N;
-  }
-
+  /// Empties the set, keeping every stripe's slots and the value
+  /// buffers inside them for reuse by the next fill (budget mode clears
+  /// once per unit).
   void clear() {
     for (Stripe &S : Stripes) {
       MutexLock Lock(S.M);
-      S.Slots.clear();
+      for (Slot &Sl : S.Slots)
+        Sl.Used = false;
       S.Count = 0;
     }
   }
@@ -146,23 +195,9 @@ private:
   };
 
   struct Stripe {
-    mutable Mutex M;
+    Mutex M;
     std::vector<Slot> Slots NETUPD_GUARDED_BY(M);
     size_t Count NETUPD_GUARDED_BY(M) = 0;
-
-    /// Index of \p V in Slots, or SIZE_MAX. Caller holds M.
-    size_t find(size_t H, const T &V) const NETUPD_REQUIRES(M) {
-      if (Slots.empty())
-        return SIZE_MAX;
-      size_t Mask = Slots.size() - 1;
-      for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-        const Slot &S = Slots[I];
-        if (!S.Used)
-          return SIZE_MAX;
-        if (S.H == H && S.Value == V)
-          return I;
-      }
-    }
 
     bool insert(size_t H, const T &V) NETUPD_REQUIRES(M) {
       if (Slots.size() < 16 || Count * 10 >= Slots.size() * 7)
@@ -203,7 +238,6 @@ private:
     return static_cast<uint64_t>(H) >> (64 - StripeBits);
   }
   Stripe &stripeFor(size_t H) { return Stripes[stripeIndex(H)]; }
-  const Stripe &stripeFor(size_t H) const { return Stripes[stripeIndex(H)]; }
 
   static obs::Histogram &lockWait() {
     static obs::Histogram &H =
@@ -344,85 +378,6 @@ private:
   std::vector<std::atomic<Node *>> Buckets;
   std::atomic<Node *> Fallback{nullptr};
   std::atomic<size_t> Count{0};
-};
-
-/// A single-threaded insert-only set of Bitsets, open-addressed so the
-/// per-probe cost is a hash plus a few contiguous slot compares and the
-/// per-insert cost is a buffer-reusing Bitset assignment — no node
-/// allocations. Used for the single-shard V claim of the search's
-/// PruneState; budget mode's unit-scoped instance clear()s it per unit
-/// and refills it to a similar size (the slot buffers are kept across
-/// clears).
-class FlatBitsetSet {
-public:
-  /// Inserts \p B; returns true iff it was not already present.
-  bool insert(const Bitset &B) {
-    size_t H = BitsetHash()(B);
-    if (Slots.size() < 16 || Count * 10 >= Slots.size() * 7)
-      grow();
-    size_t Mask = Slots.size() - 1;
-    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-      Slot &S = Slots[I];
-      if (!S.Used) {
-        S.H = H;
-        S.Used = true;
-        S.Value = B;
-        ++Count;
-        return true;
-      }
-      if (S.H == H && S.Value == B)
-        return false;
-    }
-  }
-
-  bool contains(const Bitset &B) const {
-    if (Slots.empty())
-      return false;
-    size_t H = BitsetHash()(B);
-    size_t Mask = Slots.size() - 1;
-    for (size_t I = H & Mask;; I = (I + 1) & Mask) {
-      const Slot &S = Slots[I];
-      if (!S.Used)
-        return false;
-      if (S.H == H && S.Value == B)
-        return true;
-    }
-  }
-
-  size_t size() const { return Count; }
-
-  /// Empties the set, keeping slot capacity and the Bitset heap buffers
-  /// inside the slots for reuse by the next fill.
-  void clear() {
-    for (Slot &S : Slots)
-      S.Used = false;
-    Count = 0;
-  }
-
-private:
-  struct Slot {
-    size_t H = 0;
-    bool Used = false;
-    Bitset Value;
-  };
-
-  void grow() {
-    size_t NewSize = Slots.empty() ? 16 : Slots.size() * 2;
-    std::vector<Slot> Old = std::move(Slots);
-    Slots.assign(NewSize, Slot{});
-    size_t Mask = NewSize - 1;
-    for (Slot &S : Old) {
-      if (!S.Used)
-        continue;
-      size_t I = S.H & Mask;
-      while (Slots[I].Used)
-        I = (I + 1) & Mask;
-      Slots[I] = std::move(S);
-    }
-  }
-
-  std::vector<Slot> Slots;
-  size_t Count = 0;
 };
 
 } // namespace netupd

@@ -46,6 +46,22 @@ std::string netupd::trim(const std::string &Text) {
   return Text.substr(Begin, End - Begin);
 }
 
+bool netupd::parseDecimal(const std::string &Text, uint64_t &Out) {
+  if (Text.empty())
+    return false;
+  uint64_t V = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    uint64_t D = static_cast<uint64_t>(C - '0');
+    if (V > (UINT64_MAX - D) / 10)
+      return false; // Overflow.
+    V = V * 10 + D;
+  }
+  Out = V;
+  return true;
+}
+
 std::string netupd::format(const char *Fmt, ...) {
   va_list Args;
   va_start(Args, Fmt);

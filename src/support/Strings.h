@@ -14,6 +14,7 @@
 #ifndef NETUPD_SUPPORT_STRINGS_H
 #define NETUPD_SUPPORT_STRINGS_H
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,12 @@ std::vector<std::string> split(const std::string &Text, char Sep);
 
 /// Strips ASCII whitespace from both ends.
 std::string trim(const std::string &Text);
+
+/// Parses \p Text as an unsigned decimal number: one or more ASCII
+/// digits and nothing else (no sign, space, or trailing characters), with
+/// a value that fits 64 bits. Returns false, leaving \p Out unspecified,
+/// on anything else.
+bool parseDecimal(const std::string &Text, uint64_t &Out);
 
 /// printf-style formatting into a std::string.
 std::string format(const char *Fmt, ...) __attribute__((format(printf, 1, 2)));

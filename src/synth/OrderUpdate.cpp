@@ -83,35 +83,6 @@ using namespace netupd;
 
 namespace {
 
-/// Accumulates wall time into a nanosecond phase counter while alive —
-/// the unit of the per-shard phase breakdown (SynthStats::CheckSeconds
-/// and friends). Inert unless constructed armed, so a detail-off run
-/// pays one relaxed load per tryCandidate and no clock reads. An
-/// optional histogram additionally receives the per-call duration.
-class PhaseScope {
-public:
-  PhaseScope(bool Armed, uint64_t &AccNs, obs::Histogram *H = nullptr)
-      : Acc(Armed ? &AccNs : nullptr), Hist(H) {
-    if (Acc)
-      T0 = obs::nowNs();
-  }
-  ~PhaseScope() {
-    if (!Acc)
-      return;
-    uint64_t D = obs::nowNs() - T0;
-    *Acc += D;
-    if (Hist)
-      Hist->record(D);
-  }
-  PhaseScope(const PhaseScope &) = delete;
-  PhaseScope &operator=(const PhaseScope &) = delete;
-
-private:
-  uint64_t *Acc;
-  obs::Histogram *Hist;
-  uint64_t T0 = 0;
-};
-
 /// Per-call mutate/rollback latency (applySwitchUpdate and undo both
 /// feed it), alive only under the obs detail tier.
 obs::Histogram &mutateLatency() {
@@ -126,7 +97,7 @@ obs::Histogram &mutateLatency() {
 /// spans the whole unit (the recursion included), so a run of
 /// consecutive pruned candidates — the bulk of a deep exhaustive proof —
 /// extends one open "prune" slice with zero clock reads; only real
-/// phase transitions pay. Against one PhaseScope per phase (two reads
+/// phase transitions pay. Against a scoped timer per phase (two reads
 /// each), a full candidate costs ~4 reads and a pruned one none — the
 /// reads were the dominant share of the metrics tier's 43% overhead on
 /// prune-heavy workloads. Inert when unarmed.
@@ -227,33 +198,24 @@ class PruneState {
 public:
   /// Drops every claim, refutation, and SAT clause and re-shapes for
   /// \p NumOps-wide configurations; the ET stop token stays installed.
-  /// \p Shared selects the concurrent V representation: ParClaims, one
-  /// fetch_or per claim, whenever the op universe fits
-  /// ClaimBitmap::MaxBits, else the striped ParVisited. A single-shard
-  /// instance keeps the plain SeqVisited — the V probe runs per candidate
-  /// at every DFS node, the hottest loop of prune-dominated exhaustive
-  /// searches, and must not pay lock/atomic overhead there (measured ~8x
-  /// on the Fig. 8(h) exhaustive bench when it did). W is one
-  /// watch-indexed container for both shapes: its probes and CAS appends
-  /// are lock-free, so they cost a single-shard instance nothing either.
-  /// Not thread-safe: call before any prober runs.
-  void reset(size_t NumOps, bool Shared) {
-    Sharded = Shared;
-    DirectClaim = Shared && NumOps <= ClaimBitmap::MaxBits;
-    if (DirectClaim)
-      ParClaims.reset(NumOps);
-    else if (Sharded)
-      ParVisited.clear();
-    SeqVisited.clear();
+  /// The V claim is chosen by width alone, the same for one shard, many,
+  /// or a budget unit: Claims, one fetch_or per claim, whenever the op
+  /// universe fits ClaimBitmap::MaxBits, else the striped Visited. W is
+  /// one watch-indexed container for every search: its probes and CAS
+  /// appends are lock-free. Not thread-safe: call before any prober runs.
+  void reset(size_t NumOps) {
+    Direct = NumOps <= ClaimBitmap::MaxBits;
+    if (Direct)
+      Claims.reset(NumOps);
+    else
+      Visited.clear();
     Wrong.reset(NumOps);
     ET.reset();
   }
 
   /// The claim: true for exactly one caller per configuration.
   bool claim(const Bitset &B) {
-    if (!Sharded)
-      return SeqVisited.insert(B);
-    return DirectClaim ? ParClaims.claim(B.word(0)) : ParVisited.insert(B);
+    return Direct ? Claims.claim(B.word(0)) : Visited.insert(B);
   }
 
   /// W of Fig. 4: (mask, value) refutations, filed under the first set
@@ -264,11 +226,9 @@ public:
   EarlyTermination ET;
 
 private:
-  bool Sharded = false;
-  bool DirectClaim = false;
-  FlatBitsetSet SeqVisited;
-  ClaimBitmap ParClaims;
-  ConcurrentSet<Bitset, BitsetHash> ParVisited;
+  bool Direct = false;
+  ClaimBitmap Claims;
+  ConcurrentSet<Bitset, BitsetHash> Visited;
 };
 
 /// Shard-shared state of one synthesis run; see the file comment.
@@ -515,8 +475,9 @@ public:
   /// full check (Fig. 4 line 7); counted like any other query but exempt
   /// from budget charging — setup cost, performed once per shard.
   CheckResult bindInitial() {
-    PhaseScope Ps(obs::detailEnabled(), PhaseCheckNs);
+    Clock.switchTo(PhaseCheckNs);
     CheckResult R = Checker.bind(K, Ctx.Phi);
+    Clock.stop();
     ++Stats.CheckCalls;
     return R;
   }
@@ -608,7 +569,7 @@ private:
       return;
     Account = Ctx.Ledger.openAccount(Unit);
     Checker.setBudget(&Account);
-    UnitPrune->reset(Ctx.Ops.size(), /*Shared=*/false);
+    UnitPrune->reset(Ctx.Ops.size());
     FailuresSinceEtCheck = 0;
   }
 
@@ -951,17 +912,12 @@ SynthResult runSearch(const Topology &Topo, const Config &Initial,
   if (Ctx.Deterministic)
     Ctx.UnitCharges.resize(Ctx.OpOrder.size());
 
-  // Decide the mode before anything searches: the shard count selects
-  // the shared V representation, so it must be constant from the first
-  // probe on. Budget mode prunes against per-searcher instances, so only
-  // a sharded unlimited search needs the concurrent claim.
   unsigned Shards = Opts.Shards == 0 ? 1 : Opts.Shards;
   Shards =
       static_cast<unsigned>(std::min<size_t>(Shards, Ctx.OpOrder.size()));
   if (!Opts.ShardCheckerFactory)
     Shards = 1; // No way to build sibling checkers; degrade gracefully.
-  const bool Sharded = Shards > 1;
-  Ctx.Prune.reset(Ctx.Ops.size(), Sharded && !Ctx.Deterministic);
+  Ctx.Prune.reset(Ctx.Ops.size());
   Ctx.Prune.ET.setStopToken(Ctx.stopToken());
 
   // Cross-job learning (support/ConstraintStore.h): import the wrong-set

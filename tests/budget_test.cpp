@@ -24,6 +24,7 @@
 #include "engine/Engine.h"
 #include "mc/BackendFactory.h"
 #include "support/Budget.h"
+#include "support/ConcurrentSet.h"
 #include "synth/OrderUpdate.h"
 #include "topo/Generators.h"
 
@@ -64,6 +65,24 @@ Scenario doubleDiamond(uint64_t Seed) {
   std::optional<Scenario> S = makeDoubleDiamondScenario(Base, R);
   EXPECT_TRUE(S.has_value()) << "seed " << Seed << " grew no double diamond";
   return std::move(*S);
+}
+
+/// A feasible long-path diamond wider than ClaimBitmap::MaxBits ops, so
+/// every search over it claims V through the striped ConcurrentSet (and
+/// budget mode clear()s that set once per unit).
+Scenario wideDiamond() {
+  DiamondOptions DO;
+  DO.LongPaths = true;
+  for (uint64_t Seed = 1; Seed != 64; ++Seed) {
+    Rng R(Seed);
+    Topology Base = buildSmallWorld(120, 4, 0.1, R);
+    std::optional<Scenario> S =
+        makeDiamondScenario(Base, R, PropertyKind::Reachability, DO);
+    if (S && numUpdatingSwitches(*S) > ClaimBitmap::MaxBits)
+      return std::move(*S);
+  }
+  ADD_FAILURE() << "no diamond wider than the claim bitmap";
+  return Scenario{};
 }
 
 } // namespace
@@ -251,6 +270,17 @@ std::vector<SynthJob> matrixRegistry() {
 
   SynthOptions Memo = Generous;
   Add("diamond-memo", Diamond, "memo:incremental", Memo);
+
+  // An exhaustive proof whose units overlap: with the destination
+  // blackholed every order fails only at its last op, so each unit's
+  // sub-lattice shares configurations with the others. Its spend holds
+  // across shard layouts only if every unit starts from an empty V (a
+  // searcher's later units must not prune on its earlier units' claims).
+  Scenario Blackholed = Diamond;
+  Blackholed.Final.setTable(Blackholed.Flows[0].FinalPath.back(), Table());
+  SynthOptions Exhaustive = Generous;
+  Exhaustive.EarlyTermination = false;
+  Add("blackholed-exhaustive", Blackholed, "incremental", Exhaustive);
   return Jobs;
 }
 
@@ -311,6 +341,8 @@ TEST(BudgetDeterminismTest, MatrixOfShardAndWorkerCounts) {
   EXPECT_EQ(Reference[0].Status, SynthStatus::Success);
   EXPECT_EQ(Reference[3].Status, SynthStatus::Impossible)
       << "a generous budget must still complete the impossibility proof";
+  EXPECT_EQ(Reference[5].Status, SynthStatus::Impossible)
+      << "the exhaustive proof must complete every unit";
 }
 
 // --- Completed budget runs equal the unlimited sequential run ---------------
@@ -346,7 +378,7 @@ SynthResult runIncremental(const Scenario &S, bool RuleGran,
 TEST(BudgetCompletionTest, UnexhaustedRunEqualsUnlimitedSequential) {
   const Scenario Scenarios[] = {diamondWithUpdates(2000, 4),
                                 diamondWithUpdates(3000, 5),
-                                doubleDiamond(9)};
+                                doubleDiamond(9), wideDiamond()};
   unsigned GenerousCompared = 0, TightCompared = 0;
   for (const Scenario &S : Scenarios) {
     for (bool RuleGran : {false, true}) {
@@ -369,7 +401,7 @@ TEST(BudgetCompletionTest, UnexhaustedRunEqualsUnlimitedSequential) {
       }
     }
   }
-  EXPECT_EQ(GenerousCompared, 12u)
+  EXPECT_EQ(GenerousCompared, 16u)
       << "a 2^30 unit quota must never run dry on these instances";
   EXPECT_GT(TightCompared, 0u)
       << "no tight-quota run completed: the check compares only runs "

@@ -20,10 +20,12 @@
 #include "fuzz/Repro.h"
 #include "mc/BackendFactory.h"
 #include "mc/LabelingChecker.h"
+#include "support/Strings.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 namespace netupd {
@@ -100,6 +102,32 @@ TEST(DiffCorpusTest, ReproFormatRoundTrips) {
     EXPECT_EQ(R2->Title, R->Title) << Path;
     EXPECT_EQ(R2->Seed, R->Seed) << Path;
     EXPECT_EQ(Text, fuzz::serializeRepro(*R2)) << Path;
+  }
+}
+
+/// Every number in a repro is unsigned decimal. A signed value must not
+/// load: std::stoull would negate it, reading "seed -1" as 2^64 - 1 and
+/// "table -0 1" as switch 0.
+TEST(DiffCorpusTest, ReproRejectsSignedNumbers) {
+  std::ifstream In(corpusDir() + "/churn-step.repro");
+  ASSERT_TRUE(In) << "churn-step.repro went missing";
+  std::stringstream SS;
+  SS << In.rdbuf();
+  const std::string Text = SS.str();
+  ASSERT_TRUE(fuzz::parseRepro(Text).has_value());
+  const std::pair<const char *, const char *> Edits[] = {
+      {"\nseed 0\n", "\nseed -1\n"},
+      {"\niter 0\n", "\niter -18446744073709551615\n"},
+      {"\ntable 0 1\n", "\ntable -0 1\n"},
+      {"\nseed 0\n", "\nseed +0\n"},
+  };
+  for (const auto &[From, To] : Edits) {
+    std::string Bad = Text;
+    size_t At = Bad.find(From);
+    ASSERT_NE(At, std::string::npos) << "corpus lacks line " << From;
+    Bad.replace(At, std::string(From).size(), To);
+    EXPECT_FALSE(fuzz::parseRepro(Bad).has_value())
+        << "accepted '" << trim(To) << "'";
   }
 }
 

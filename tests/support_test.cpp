@@ -254,16 +254,13 @@ TEST(ShardedCacheTest, ClearResetsEvictionState) {
   EXPECT_EQ(*Cache.lookup(shard0Key(2)), 3);
 }
 
-TEST(ConcurrentSetTest, InsertContainsClear) {
+TEST(ConcurrentSetTest, InsertClear) {
   ConcurrentSet<int> Set;
-  EXPECT_FALSE(Set.contains(7));
   EXPECT_TRUE(Set.insert(7));
   EXPECT_FALSE(Set.insert(7)) << "second insert must lose the claim";
-  EXPECT_TRUE(Set.contains(7));
-  EXPECT_EQ(Set.size(), 1u);
   Set.clear();
-  EXPECT_FALSE(Set.contains(7));
-  EXPECT_EQ(Set.size(), 0u);
+  EXPECT_TRUE(Set.insert(7)) << "clear() must forget every claim";
+  EXPECT_FALSE(Set.insert(7));
 }
 
 TEST(ConcurrentSetTest, BitsetKeys) {
@@ -273,7 +270,23 @@ TEST(ConcurrentSetTest, BitsetKeys) {
   EXPECT_TRUE(Set.insert(A));
   EXPECT_TRUE(Set.insert(B));
   EXPECT_FALSE(Set.insert(A));
-  EXPECT_EQ(Set.size(), 2u);
+  EXPECT_FALSE(Set.insert(B));
+}
+
+// clear() keeps the grown slot tables for the next fill; the refill
+// must still claim every value exactly once.
+TEST(ConcurrentSetTest, RefillAfterClearSurvivesGrowth) {
+  ConcurrentSet<Bitset, BitsetHash> Set;
+  constexpr unsigned N = 2000; // Forces several grow() rehashes.
+  for (int Round = 0; Round != 2; ++Round) {
+    for (unsigned I = 0; I != N; ++I) {
+      Bitset B(N);
+      B.set(I);
+      EXPECT_TRUE(Set.insert(B)) << "round " << Round << " bit " << I;
+      EXPECT_FALSE(Set.insert(B));
+    }
+    Set.clear();
+  }
 }
 
 // The claim semantics under contention: every value is claimed exactly
@@ -293,7 +306,8 @@ TEST(ConcurrentSetTest, ClaimsAreUniqueAcrossThreads) {
   for (std::thread &T : Threads)
     T.join();
   EXPECT_EQ(Claims.load(), NumValues);
-  EXPECT_EQ(Set.size(), static_cast<size_t>(NumValues));
+  for (int V = 0; V != NumValues; ++V)
+    EXPECT_FALSE(Set.insert(V)) << "value " << V << " lost its claim";
 }
 
 // The direct-indexed claim: 8 threads race over every index of a
@@ -324,6 +338,79 @@ TEST(ClaimBitmapTest, ClaimsAreUniqueAcrossThreads) {
   Map.reset(NumBits);
   EXPECT_TRUE(Map.claim(NumValues - 1));
   EXPECT_FALSE(Map.claim(NumValues - 1));
+}
+
+// The widest map pages its bits on first touch: claiming only its two
+// extreme indices must work without the 2 MB of the pages in between.
+TEST(ClaimBitmapTest, WidestMapClaimsItsExtremes) {
+  constexpr uint64_t Top = (uint64_t(1) << ClaimBitmap::MaxBits) - 1;
+  ClaimBitmap Map;
+  Map.reset(ClaimBitmap::MaxBits);
+  EXPECT_TRUE(Map.claim(0));
+  EXPECT_TRUE(Map.claim(Top));
+  EXPECT_FALSE(Map.claim(0));
+  EXPECT_FALSE(Map.claim(Top));
+  EXPECT_TRUE(Map.claim(Top - 1)) << "a neighbour shares the top page";
+}
+
+// 8 threads race on one untouched page: each may install its own copy,
+// one CAS wins, and every index on it is still claimed exactly once.
+TEST(ClaimBitmapTest, RaceOnUntouchedPageClaimsEachIndexOnce) {
+  constexpr unsigned NumThreads = 8;
+  constexpr uint64_t Base = uint64_t(1) << 20; // Inside a 2^21-bit map.
+  constexpr uint64_t NumValues = 256;
+  ClaimBitmap Map;
+  Map.reset(21);
+  std::vector<std::atomic<int>> PerIndex(NumValues);
+  std::atomic<bool> Go{false};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != NumThreads; ++T)
+    Threads.emplace_back([&] {
+      while (!Go.load())
+        std::this_thread::yield();
+      for (uint64_t I = 0; I != NumValues; ++I)
+        if (Map.claim(Base + I))
+          PerIndex[I].fetch_add(1);
+    });
+  Go.store(true);
+  for (std::thread &T : Threads)
+    T.join();
+  for (uint64_t I = 0; I != NumValues; ++I)
+    ASSERT_EQ(PerIndex[I].load(), 1) << "index " << Base + I;
+}
+
+// reset() at the same width keeps the installed pages but zeroes them:
+// every earlier claim is forgotten, on touched and untouched pages.
+TEST(ClaimBitmapTest, ResetAtSameWidthForgetsEveryClaim) {
+  constexpr size_t NumBits = 18;
+  constexpr uint64_t NumValues = uint64_t(1) << NumBits;
+  ClaimBitmap Map;
+  Map.reset(NumBits);
+  for (uint64_t V = 0; V < NumValues; V += 37)
+    EXPECT_TRUE(Map.claim(V));
+  Map.reset(NumBits);
+  for (uint64_t V = 0; V < NumValues; V += 37)
+    ASSERT_TRUE(Map.claim(V)) << "index " << V << " survived reset";
+  for (uint64_t V = 0; V < NumValues; V += 37)
+    ASSERT_FALSE(Map.claim(V)) << "index " << V;
+}
+
+// reset() to another width re-shapes the map: a narrow map after a wide
+// one, then a wide one again, each starting with nothing claimed.
+TEST(ClaimBitmapTest, ResetToAnotherWidthReshapes) {
+  ClaimBitmap Map;
+  Map.reset(20);
+  EXPECT_TRUE(Map.claim(3));
+  EXPECT_TRUE(Map.claim((uint64_t(1) << 20) - 1));
+  Map.reset(3);
+  for (uint64_t V = 0; V != 8; ++V)
+    EXPECT_TRUE(Map.claim(V)) << "index " << V;
+  for (uint64_t V = 0; V != 8; ++V)
+    EXPECT_FALSE(Map.claim(V)) << "index " << V;
+  Map.reset(ClaimBitmap::MaxBits);
+  EXPECT_TRUE(Map.claim(3));
+  EXPECT_TRUE(Map.claim((uint64_t(1) << 20) - 1));
+  EXPECT_TRUE(Map.claim((uint64_t(1) << ClaimBitmap::MaxBits) - 1));
 }
 
 // The wrong-set's watch-list indexing: a constraint is filed under the
@@ -439,43 +526,6 @@ TEST(WatchedWrongSetTest, ConcurrentAddsAndProbes) {
     Bitset C(NumBits);
     C.set(Bit);
     EXPECT_TRUE(W.matches(C)) << "constraint on bit " << Bit << " lost";
-  }
-}
-
-TEST(FlatBitsetSetTest, InsertContainsClearReuse) {
-  FlatBitsetSet Set;
-  Bitset A(100), B(100);
-  B.set(99);
-  EXPECT_FALSE(Set.contains(A));
-  EXPECT_TRUE(Set.insert(A));
-  EXPECT_FALSE(Set.insert(A)) << "duplicate insert must report present";
-  EXPECT_TRUE(Set.insert(B));
-  EXPECT_TRUE(Set.contains(A));
-  EXPECT_TRUE(Set.contains(B));
-  EXPECT_EQ(Set.size(), 2u);
-
-  // clear() keeps capacity; a refill must behave like a fresh set.
-  Set.clear();
-  EXPECT_EQ(Set.size(), 0u);
-  EXPECT_FALSE(Set.contains(A));
-  EXPECT_TRUE(Set.insert(A));
-  EXPECT_FALSE(Set.insert(A));
-}
-
-TEST(FlatBitsetSetTest, SurvivesGrowth) {
-  FlatBitsetSet Set;
-  constexpr unsigned N = 500; // Forces several grow() rehashes.
-  for (unsigned I = 0; I != N; ++I) {
-    Bitset B(512);
-    B.set(I);
-    EXPECT_TRUE(Set.insert(B));
-  }
-  EXPECT_EQ(Set.size(), N);
-  for (unsigned I = 0; I != N; ++I) {
-    Bitset B(512);
-    B.set(I);
-    EXPECT_TRUE(Set.contains(B));
-    EXPECT_FALSE(Set.insert(B));
   }
 }
 

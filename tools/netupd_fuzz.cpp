@@ -26,8 +26,10 @@
 #include "fuzz/Minimize.h"
 #include "mc/BackendFactory.h"
 #include "mc/LabelingChecker.h"
+#include "support/Strings.h"
 
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
@@ -147,26 +149,30 @@ int main(int argc, char **argv) {
     auto Next = [&]() -> const char * {
       return I + 1 < argc ? argv[++I] : nullptr;
     };
+    // A numeric value must be a whole decimal number that fits its field:
+    // a typo must not silently run zero iterations and exit clean.
+    auto NextNumber = [&](uint64_t Max, uint64_t &Out) {
+      const char *V = Next();
+      return V && parseDecimal(V, Out) && Out <= Max;
+    };
+    uint64_t N = 0;
     if (A == "--seed") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(UINT64_MAX, N))
         return usage(argv[0]);
-      O.Seed = std::strtoull(V, nullptr, 10);
+      O.Seed = N;
     } else if (A == "--iters") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(UINT_MAX, N))
         return usage(argv[0]);
-      O.Iters = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+      O.Iters = static_cast<unsigned>(N);
     } else if (A == "--out") {
       const char *V = Next();
       if (!V)
         return usage(argv[0]);
       O.OutDir = V;
     } else if (A == "--churn-every") {
-      const char *V = Next();
-      if (!V)
+      if (!NextNumber(UINT_MAX, N))
         return usage(argv[0]);
-      O.ChurnEvery = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
+      O.ChurnEvery = static_cast<unsigned>(N);
     } else if (A == "--backends") {
       const char *V = Next();
       if (!V)
