@@ -32,11 +32,12 @@ annotations for regressions beyond a threshold:
     only prices the throughput).
   - ANY change, in either direction, of a deterministic counter: the
     shards section's total_queries at 1 shard, the sweep section's
-    total_queries at every worker count, and the budget section's
-    budget_spent and total_queries at every shard count. These are pure
-    functions of the batch (the sharded search's totals above 1 shard
-    are not, so they keep the threshold gate), so a change is a
-    behaviour change, not noise; no threshold applies.
+    total_queries at every worker count, the budget section's
+    budget_spent and total_queries at every shard count, and the
+    conflict section's total_queries and shed_members in both modes.
+    These are pure functions of the batch (the sharded search's totals
+    above 1 shard are not, so they keep the threshold gate), so a
+    change is a behaviour change, not noise; no threshold applies.
 
 Unknown top-level keys and unknown fields inside section points are
 ignored, and sections absent from either file are skipped, so old and
@@ -245,6 +246,8 @@ def main():
     compare_exact(base, cur, "sweep", "workers", ["total_queries"])
     compare_exact(base, cur, "budget", "shards",
                   ["budget_spent", "total_queries"])
+    compare_exact(base, cur, "conflict", "mode",
+                  ["total_queries", "shed_members"])
     note(f"comparison complete: {len(REGRESSIONS)} regression(s) beyond "
          f"{t * 100:.0f}%")
     if REGRESSIONS and os.environ.get("NETUPD_BENCH_TREND_ENFORCE") == "1":

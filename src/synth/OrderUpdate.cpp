@@ -83,6 +83,12 @@ using namespace netupd;
 
 namespace {
 
+/// Sorts \p V and drops its duplicates.
+template <typename T> void sortUnique(std::vector<T> &V) {
+  std::sort(V.begin(), V.end());
+  V.erase(std::unique(V.begin(), V.end()), V.end());
+}
+
 /// Per-call mutate/rollback latency (applySwitchUpdate and undo both
 /// feed it), alive only under the obs detail tier.
 obs::Histogram &mutateLatency() {
@@ -746,23 +752,26 @@ private:
     // digest-equal structures number states identically, so the derived
     // (mask, value) constraint is an instance fact every shard may prune
     // on.
-    std::vector<uint8_t> SwInCex(Ctx.Topo.numSwitches(), 0);
-    std::vector<uint8_t> ClassInCex(Ctx.Classes.size(), 0);
+    // The scratch is sized by the trace, not the fabric: a trace crosses
+    // a handful of a paper-scale fabric's thousands of switches.
+    CexSwitches.clear();
+    CexClasses.clear();
     for (StateId S : CexStates) {
-      SwInCex[K.stateSwitch(S)] = 1;
-      ClassInCex[K.stateClass(S)] = 1;
+      CexSwitches.push_back(K.stateSwitch(S));
+      CexClasses.push_back(K.stateClass(S));
     }
+    sortUnique(CexSwitches);
+    sortUnique(CexClasses);
 
     Bitset Mask(Ctx.Ops.size());
-    for (SwitchId Sw = 0; Sw != Ctx.Topo.numSwitches(); ++Sw) {
-      if (!SwInCex[Sw])
-        continue;
+    for (SwitchId Sw : CexSwitches) {
       for (unsigned OpIdx : Ctx.SwitchOps[Sw]) {
         const MicroOp &Op = Ctx.Ops[OpIdx];
         // Rule-granularity ops for unrelated classes do not influence
         // the trace; leaving them out strengthens the pruning.
         if (Op.ClassIdx >= 0 &&
-            !ClassInCex[static_cast<size_t>(Op.ClassIdx)])
+            !std::binary_search(CexClasses.begin(), CexClasses.end(),
+                                static_cast<unsigned>(Op.ClassIdx)))
           continue;
         Mask.set(OpIdx);
       }
@@ -864,6 +873,10 @@ private:
   std::optional<PruneState> UnitPrune;
   /// Whether learnCex journals entries into LearnedWrong.
   bool JournalLearned = false;
+  /// learnCex's scratch: the counterexample's distinct switches and
+  /// traffic classes, kept to reuse their buffers.
+  std::vector<SwitchId> CexSwitches;
+  std::vector<unsigned> CexClasses;
 };
 
 /// Replays \p Seq from the initial configuration, snapshotting the table

@@ -25,6 +25,7 @@
 #include "synth/Command.h"
 #include "topo/Generators.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace netupd {
@@ -169,6 +170,35 @@ inline bool allIntermediateConfigsHold(const Topology &Topo,
       return false;
   }
   return true;
+}
+
+/// One ordering constraint as EarlyTermination::addCexConstraint takes
+/// it: some op of NotUpdated must precede some op of Updated.
+struct OrderConstraint {
+  std::vector<unsigned> Updated, NotUpdated;
+};
+
+/// A random constraint over ops [0, NumOps), NumOps >= 2: disjoint
+/// Updated and NotUpdated sets of 1..MaxSide ops each, a third of them
+/// single-literal (one op per side).
+inline OrderConstraint randomOrderConstraint(Rng &R, unsigned NumOps,
+                                             unsigned MaxSide) {
+  std::vector<unsigned> Ops(NumOps);
+  for (unsigned I = 0; I != NumOps; ++I)
+    Ops[I] = I;
+  for (unsigned I = NumOps - 1; I != 0; --I)
+    std::swap(Ops[I], Ops[R.nextBelow(I + 1)]);
+  bool Single = R.nextBelow(3) == 0;
+  auto SideSize = [&](unsigned Room) {
+    unsigned Max = std::min(MaxSide, Room);
+    return Single ? 1u : 1u + static_cast<unsigned>(R.nextBelow(Max));
+  };
+  unsigned NumUpd = SideSize(NumOps - 1);
+  unsigned NumNot = SideSize(NumOps - NumUpd);
+  OrderConstraint C;
+  C.Updated.assign(Ops.begin(), Ops.begin() + NumUpd);
+  C.NotUpdated.assign(Ops.begin() + NumUpd, Ops.begin() + NumUpd + NumNot);
+  return C;
 }
 
 } // namespace testutil

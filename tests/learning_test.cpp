@@ -460,3 +460,58 @@ TEST(EarlyTerminationStopTest, ConcurrentInstallAndLearnIsRaceFree) {
   for (auto &T : Learners)
     T.join();
 }
+
+// One instance shared by four learners, as the shards of a search share
+// it: each thread adds an interleaved slice of one fixed constraint set
+// and polls impossible() after every add, so witness checks, dirty
+// marks, lazy solver loads and model refreshes all race. With 12 ops
+// (under the cap) the encoding is exact and independent of arrival
+// order, so the final verdict and clause count must equal one
+// sequential instance's. One set is satisfiable (every constraint holds
+// in a hidden order), the other is not.
+TEST(EarlyTerminationConcurrencyTest, SlicesMatchSequentialVerdict) {
+  constexpr unsigned NumOps = 12, NumThreads = 4;
+  Rng R(4242);
+  std::vector<unsigned> Hidden(NumOps); // Op -> position.
+  for (unsigned I = 0; I != NumOps; ++I)
+    Hidden[I] = I;
+  for (unsigned I = NumOps - 1; I != 0; --I)
+    std::swap(Hidden[I], Hidden[R.nextBelow(I + 1)]);
+  auto HoldsInHidden = [&](const OrderConstraint &C) {
+    for (unsigned D : C.NotUpdated)
+      for (unsigned U : C.Updated)
+        if (Hidden[D] < Hidden[U])
+          return true;
+    return false;
+  };
+  for (bool Feasible : {true, false}) {
+    std::vector<OrderConstraint> Set;
+    while (Set.size() != 400) {
+      OrderConstraint C = randomOrderConstraint(R, NumOps, 3);
+      if (!Feasible || HoldsInHidden(C))
+        Set.push_back(std::move(C));
+    }
+    EarlyTermination Sequential;
+    for (const OrderConstraint &C : Set)
+      Sequential.addCexConstraint(C.Updated, C.NotUpdated);
+    bool Expected = Sequential.impossible();
+    EXPECT_EQ(Expected, !Feasible);
+
+    EarlyTermination Shared;
+    std::vector<std::thread> Learners;
+    for (unsigned T = 0; T != NumThreads; ++T)
+      Learners.emplace_back([&, T] {
+        for (size_t I = T; I < Set.size(); I += NumThreads) {
+          Shared.addCexConstraint(Set[I].Updated, Set[I].NotUpdated);
+          bool Impossible = Shared.impossible();
+          if (Feasible) {
+            EXPECT_FALSE(Impossible);
+          }
+        }
+      });
+    for (auto &T : Learners)
+      T.join();
+    EXPECT_EQ(Shared.impossible(), Expected);
+    EXPECT_EQ(Shared.numClauses(), Sequential.numClauses());
+  }
+}

@@ -5,7 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "engine/StopToken.h"
 #include "mc/LabelingChecker.h"
+#include "sat/Solver.h"
+#include "support/Random.h"
 #include "synth/Baselines.h"
 #include "synth/EarlyTermination.h"
 #include "synth/OrderUpdate.h"
@@ -17,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 using namespace netupd;
 using namespace netupd::testutil;
@@ -393,6 +397,265 @@ TEST(EarlyTerminationTest, EmptyNotUpdatedMeansImpossible) {
   EarlyTermination ET;
   ET.addCexConstraint({3, 4}, {});
   EXPECT_TRUE(ET.impossible());
+}
+
+// --- Witness-first early termination: equivalence with the encoding -------
+
+namespace {
+
+/// Every total order of ops [0, NumOps), filtered constraint by
+/// constraint: the exact answer to "does some order satisfy them all".
+class OrderOracle {
+public:
+  explicit OrderOracle(unsigned NumOps) {
+    std::vector<unsigned> Perm(NumOps);
+    for (unsigned I = 0; I != NumOps; ++I)
+      Perm[I] = I;
+    do {
+      std::vector<unsigned> Pos(NumOps);
+      for (unsigned I = 0; I != NumOps; ++I)
+        Pos[Perm[I]] = I;
+      Orders.push_back(std::move(Pos));
+    } while (std::next_permutation(Perm.begin(), Perm.end()));
+  }
+
+  void add(const OrderConstraint &C) {
+    auto Violates = [&](const std::vector<unsigned> &Pos) {
+      for (unsigned D : C.NotUpdated)
+        for (unsigned U : C.Updated)
+          if (Pos[D] < Pos[U])
+            return false;
+      return true;
+    };
+    Orders.erase(std::remove_if(Orders.begin(), Orders.end(), Violates),
+                 Orders.end());
+  }
+
+  bool impossible() const { return Orders.empty(); }
+
+private:
+  std::vector<std::vector<unsigned>> Orders; // Op -> position.
+};
+
+/// The eager encoding on a plain solver, re-solved after every
+/// constraint: each precedence clause, transitivity over the first
+/// \p Cap mentioned ops, the same oversized-clause drop, and the same
+/// "empty NotUpdated is impossible" latch.
+class EagerOrderEncoding {
+public:
+  EagerOrderEncoding(unsigned Cap, size_t MaxClauseLits)
+      : Cap(Cap), MaxClauseLits(MaxClauseLits) {}
+
+  void add(const OrderConstraint &C) {
+    if (Known)
+      return;
+    if (C.NotUpdated.empty()) {
+      Known = true;
+      return;
+    }
+    if (C.Updated.size() * C.NotUpdated.size() > MaxClauseLits)
+      return;
+    for (unsigned Op : C.Updated)
+      mention(Op);
+    for (unsigned Op : C.NotUpdated)
+      mention(Op);
+    std::vector<sat::Lit> Clause;
+    for (unsigned D : C.NotUpdated)
+      for (unsigned U : C.Updated)
+        Clause.push_back(before(D, U));
+    S.addClause(Clause);
+  }
+
+  bool impossible() { return Known || !S.solve(); }
+
+private:
+  sat::Lit before(unsigned A, unsigned B) {
+    auto [It, Inserted] =
+        Vars.try_emplace({std::min(A, B), std::max(A, B)}, 0);
+    if (Inserted)
+      It->second = S.newVar();
+    return sat::Lit(It->second, /*Negated=*/A > B);
+  }
+
+  void mention(unsigned Op) {
+    if (std::find(Mentioned.begin(), Mentioned.end(), Op) != Mentioned.end())
+      return;
+    if (Mentioned.size() < Cap)
+      for (unsigned A : Mentioned)
+        for (unsigned B : Mentioned)
+          if (A != B) {
+            S.addClause({~before(A, B), ~before(B, Op), before(A, Op)});
+            S.addClause({~before(A, Op), ~before(Op, B), before(A, B)});
+            S.addClause({~before(Op, A), ~before(A, B), before(Op, B)});
+          }
+    Mentioned.push_back(Op);
+  }
+
+  unsigned Cap;
+  size_t MaxClauseLits;
+  sat::Solver S;
+  std::map<std::pair<unsigned, unsigned>, sat::Var> Vars;
+  std::vector<unsigned> Mentioned;
+  bool Known = false;
+};
+
+/// Tracks what numClauses() must read: k(k-1)(k-2) transitivity triples
+/// for the k = min(mentioned, cap) capped ops plus one clause per
+/// accepted precedence constraint.
+struct ClauseCount {
+  unsigned Cap;
+  size_t MaxClauseLits;
+  std::vector<bool> Mentioned;
+  uint64_t Precedence = 0;
+  bool Known = false;
+
+  void add(const OrderConstraint &C) {
+    if (Known)
+      return;
+    if (C.NotUpdated.empty()) {
+      Known = true;
+      return;
+    }
+    if (C.Updated.size() * C.NotUpdated.size() > MaxClauseLits)
+      return;
+    for (const auto *Side : {&C.Updated, &C.NotUpdated})
+      for (unsigned Op : *Side) {
+        if (Op >= Mentioned.size())
+          Mentioned.resize(Op + 1);
+        Mentioned[Op] = true;
+      }
+    ++Precedence;
+  }
+
+  uint64_t expected() const {
+    uint64_t K = std::min<uint64_t>(
+        std::count(Mentioned.begin(), Mentioned.end(), true), Cap);
+    return (K < 3 ? 0 : K * (K - 1) * (K - 2)) + Precedence;
+  }
+};
+
+} // namespace
+
+// Streams over at most 7 ops, all under the cap, so the encoding is exact
+// and must agree with brute force over every permutation after every
+// constraint. One instance is reset between streams; the streams run
+// from SAT into UNSAT (and past it, exercising the latch), mix single-
+// literal and disjunctive clauses, and occasionally end in an empty
+// NotUpdated.
+TEST(EarlyTerminationEquivalenceTest, MatchesBruteForceOnSmallStreams) {
+  Rng R(1717);
+  EarlyTermination ET;
+  unsigned SatAnswers = 0, UnsatAnswers = 0;
+  uint64_t Solves = 0;
+  for (unsigned Stream = 0; Stream != 300; ++Stream) {
+    ET.reset();
+    unsigned NumOps = 2 + static_cast<unsigned>(R.nextBelow(6));
+    OrderOracle Ref(NumOps);
+    ClauseCount Count{16, 1024, {}};
+    for (unsigned Step = 0; Step != 12; ++Step) {
+      OrderConstraint C = randomOrderConstraint(R, NumOps, 3);
+      if (R.nextBelow(40) == 0)
+        C.NotUpdated.clear();
+      ET.addCexConstraint(C.Updated, C.NotUpdated);
+      Ref.add(C);
+      Count.add(C);
+      bool Impossible = ET.impossible();
+      ASSERT_EQ(Impossible, Ref.impossible())
+          << "stream " << Stream << " step " << Step;
+      ASSERT_EQ(ET.numClauses(), Count.expected())
+          << "stream " << Stream << " step " << Step;
+      ++(Impossible ? UnsatAnswers : SatAnswers);
+    }
+    Solves += ET.numSolves();
+  }
+  // Both verdicts, and both the witness and the solver path, must be
+  // well represented for the agreement to mean anything.
+  EXPECT_GT(SatAnswers, 500u);
+  EXPECT_GT(UnsatAnswers, 500u);
+  EXPECT_GT(Solves, 100u);
+  EXPECT_LT(Solves, (SatAnswers + UnsatAnswers) / 2);
+}
+
+// Streams over 20-30 ops, past the transitivity cap, where the encoding
+// is a relaxation: the witness-first instance must answer exactly as the
+// eager encoding re-solved from scratch, at the default cap and at a
+// small one, with and without the oversized-clause drop, asked after
+// every constraint or, as the search asks, after every eighth.
+TEST(EarlyTerminationEquivalenceTest, MatchesEagerEncodingPastTheCap) {
+  Rng R(2929);
+  unsigned SatAnswers = 0, UnsatAnswers = 0;
+  uint64_t Solves = 0;
+  for (unsigned Stream = 0; Stream != 60; ++Stream) {
+    unsigned Cap = Stream % 2 ? 16 : 5;
+    size_t MaxLits = Stream % 3 ? 1024 : 4;
+    EarlyTermination ET(Cap, MaxLits);
+    EagerOrderEncoding Ref(Cap, MaxLits);
+    ClauseCount Count{Cap, MaxLits, {}};
+    unsigned NumOps = 20 + static_cast<unsigned>(R.nextBelow(11));
+    unsigned CheckEvery = Stream / 2 % 2 ? 1 : 8;
+    for (unsigned Step = 0; Step != 80; ++Step) {
+      OrderConstraint C = randomOrderConstraint(R, NumOps, 3);
+      ET.addCexConstraint(C.Updated, C.NotUpdated);
+      Ref.add(C);
+      Count.add(C);
+      ASSERT_EQ(ET.numClauses(), Count.expected())
+          << "stream " << Stream << " step " << Step;
+      if (Step % CheckEvery != CheckEvery - 1)
+        continue;
+      bool Impossible = ET.impossible();
+      ASSERT_EQ(Impossible, Ref.impossible())
+          << "stream " << Stream << " step " << Step;
+      ++(Impossible ? UnsatAnswers : SatAnswers);
+    }
+    Solves += ET.numSolves();
+  }
+  EXPECT_GT(SatAnswers, 300u);
+  EXPECT_GT(UnsatAnswers, 300u);
+  EXPECT_GT(Solves, 100u);
+  EXPECT_LT(Solves, (SatAnswers + UnsatAnswers) / 2);
+}
+
+// The pair of the first two mentioned ops is first asked for by a
+// precedence clause; a third op then joins the transitivity set, and the
+// cycle through that pair must be found.
+TEST(EarlyTerminationEquivalenceTest, PairFromPrecedenceJoinsTransitivity) {
+  EarlyTermination ET;
+  ET.addCexConstraint({1}, {0}); // 0 < 1.
+  EXPECT_FALSE(ET.impossible());
+  ET.addCexConstraint({0}, {2}); // 2 < 0.
+  EXPECT_FALSE(ET.impossible());
+  ET.addCexConstraint({2}, {1}); // 1 < 2: 0 < 1 < 2 < 0.
+  EXPECT_TRUE(ET.impossible());
+  EXPECT_EQ(ET.numClauses(), 3u * 2u * 1u + 3u);
+}
+
+// A stream the witness satisfies costs no solve at all, even past the
+// cap; a contradiction costs at least one, and a stop token that fires
+// while a solve is due skips it without losing it.
+TEST(EarlyTerminationEquivalenceTest, SolvesOnlyWhenTheWitnessFails) {
+  EarlyTermination ET;
+  for (unsigned Op = 0; Op != 24; ++Op) {
+    ET.addCexConstraint({Op + 1}, {Op});         // Op < Op+1.
+    ET.addCexConstraint({Op + 2}, {Op, Op + 1}); // Op or Op+1 < Op+2.
+    EXPECT_FALSE(ET.impossible());
+  }
+  EXPECT_EQ(ET.numSolves(), 0u);
+
+  ET.addCexConstraint({0}, {15}); // 15 < 0 closes a cycle under the cap.
+  StopSource Src;
+  Src.requestStop();
+  ET.setStopToken(Src.token());
+  EXPECT_FALSE(ET.impossible()); // Skipped: the cached verdict.
+  EXPECT_EQ(ET.numSolves(), 0u);
+  ET.setStopToken(StopToken());
+  EXPECT_TRUE(ET.impossible()); // Still due, so solved now.
+  EXPECT_GE(ET.numSolves(), 1u);
+
+  ET.reset();
+  EXPECT_EQ(ET.numSolves(), 0u);
+  EXPECT_EQ(ET.numClauses(), 0u);
+  ET.addCexConstraint({1}, {0});
+  EXPECT_FALSE(ET.impossible());
 }
 
 // --- SynthStats::mergeFrom coverage guard -----------------------------------
